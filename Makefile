@@ -31,10 +31,10 @@ bench:
 bench-json:
 	$(GO) run ./cmd/benchjson
 
-# CI smoke: one iteration of every hot-path micro-benchmark, so bench code
-# cannot rot without failing the build.
+# CI smoke: one iteration of every hot-path micro-benchmark and of the GC
+# pass-cost benchmarks, so bench code cannot rot without failing the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x . ./internal/mvcc ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn
+	$(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel|BenchmarkIntervalPass|BenchmarkTableGCPass' -benchtime=1x . ./internal/mvcc ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/gc
 
 # CI smoke: the multi-core hot-path benchmarks (one iteration, pinned to
 # GOMAXPROCS=4 so the parallel paths actually interleave) plus the seqlock

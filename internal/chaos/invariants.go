@@ -225,6 +225,21 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 			rep.violatef("horizon: replica 0 has no accounts table; cannot probe")
 			return
 		}
+		// Open the cursor only once the replica has applied a fresh probe
+		// commit, so its timestamp is newer than any snapshot the replica
+		// reported before. A pin at exactly that timestamp can then only come
+		// from a report sent after the cursor opened — an older pin (a stale
+		// report, or one leaked by an earlier detach) would otherwise hold the
+		// horizon down until an in-flight report cleared it, letting the
+		// release below succeed without any release having happened.
+		if !probeInsert(c, rep, 0) {
+			return
+		}
+		fresh := m.CurrentTS()
+		if !waitUntil(2*time.Second, func() bool { return db.Manager().CurrentTS() >= fresh }) {
+			rep.violatef("horizon: replica 0 never applied probe commit %v", fresh)
+			return
+		}
 		cur, err := db.OpenCursor(tid)
 		if err != nil {
 			rep.violatef("horizon: replica 0 cursor open failed: %v", err)
@@ -233,17 +248,19 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 		defer cur.Close()
 		pin := cur.SnapshotTS()
 
-		// Make the primary's clock move past the pin, then wait for the pin
-		// to be reported upstream and take effect on the global horizon.
-		for i := 0; i < 3; i++ {
-			if _, err := insertLocal(c.db, c.ledger, []byte(fmt.Sprintf("probe-%d:0", i))); err != nil {
-				rep.violatef("horizon: probe insert failed: %v", err)
+		// Make the primary's clock move past the pin, then wait for the
+		// cursor's pin to be reported upstream and take effect on the global
+		// horizon.
+		for i := 1; i < 3; i++ {
+			if !probeInsert(c, rep, i) {
 				return
 			}
 		}
-		if !waitUntil(2*time.Second, func() bool { return m.GlobalHorizon() <= pin }) {
-			rep.violatef("horizon: replica snapshot %v never pinned the primary (horizon %v) — probe is not valid",
-				pin, m.GlobalHorizon())
+		if !waitUntil(2*time.Second, func() bool {
+			return pinnedSTS(c, n.id) == pin && m.GlobalHorizon() <= pin
+		}) {
+			rep.violatef("horizon: replica snapshot %v never pinned the primary (pinned %v, horizon %v) — probe is not valid",
+				pin, pinnedSTS(c, n.id), m.GlobalHorizon())
 			return
 		}
 
@@ -261,18 +278,40 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 		// The staleness sweeper must also demote the silent replica so its
 		// segment floor stops blocking WAL pruning.
 		if !waitUntil(opt.HorizonBound, func() bool {
-			var st wire.Stats
-			c.src.PopulateStats(&st)
-			for _, r := range st.Replicas {
-				if r.ID == n.id {
-					return r.Demoted
-				}
-			}
-			return true // detached entirely: floor gone with it
+			r, ok := replicaStat(c, n.id)
+			return !ok || r.Demoted // detached entirely: floor gone with it
 		}) {
 			rep.violatef("horizon: partitioned replica %s was never demoted within %s", n.id, opt.HorizonBound)
 		}
 	})
+}
+
+// probeInsert commits ledger entry probe-i on the primary.
+func probeInsert(c *cluster, rep *Report, i int) bool {
+	if _, err := insertLocal(c.db, c.ledger, []byte(fmt.Sprintf("probe-%d:0", i))); err != nil {
+		rep.violatef("horizon: probe insert failed: %v", err)
+		return false
+	}
+	return true
+}
+
+// replicaStat returns the primary's view of one replica stream.
+func replicaStat(c *cluster, id string) (wire.ReplicaStat, bool) {
+	var st wire.Stats
+	c.src.PopulateStats(&st)
+	for _, r := range st.Replicas {
+		if r.ID == id {
+			return r, true
+		}
+	}
+	return wire.ReplicaStat{}, false
+}
+
+// pinnedSTS returns the snapshot timestamp the primary holds on behalf of a
+// replica (0 when none).
+func pinnedSTS(c *cluster, id string) ts.CID {
+	r, _ := replicaStat(c, id)
+	return r.PinnedSTS
 }
 
 // checkNoLostCommits is invariant 2: after the heal, the primary's ledger

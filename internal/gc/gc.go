@@ -79,10 +79,13 @@ type Collector interface {
 }
 
 // Totals accumulates per-collector lifetime counters, the data behind
-// Figure 11 (accumulated versions reclaimed per collector under HG).
+// Figure 11 (accumulated versions reclaimed per collector under HG), plus
+// the pass durations that say what the collector cost.
 type Totals struct {
 	versions atomic.Int64
 	runs     atomic.Int64
+	passNS   atomic.Int64
+	lastNS   atomic.Int64
 }
 
 // Versions returns the lifetime reclaimed-version count.
@@ -91,7 +94,15 @@ func (t *Totals) Versions() int64 { return t.versions.Load() }
 // Runs returns the lifetime invocation count.
 func (t *Totals) Runs() int64 { return t.runs.Load() }
 
+// PassTime returns the summed wall time of every pass.
+func (t *Totals) PassTime() time.Duration { return time.Duration(t.passNS.Load()) }
+
+// LastPass returns the wall time of the most recent pass.
+func (t *Totals) LastPass() time.Duration { return time.Duration(t.lastNS.Load()) }
+
 func (t *Totals) record(r RunStats) {
 	t.versions.Add(r.Versions)
 	t.runs.Add(1)
+	t.passNS.Add(int64(r.Duration))
+	t.lastNS.Store(int64(r.Duration))
 }

@@ -15,17 +15,23 @@ import (
 // env wires a catalog, version space and transaction manager the way the
 // engine does, so collectors are tested against the real write path.
 type env struct {
-	t     *testing.T
+	t     testing.TB
 	cat   *table.Catalog
 	space *mvcc.Space
 	m     *txn.Manager
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
+	e := openEnv(t)
+	t.Cleanup(e.m.Close)
+	return e
+}
+
+// openEnv is newEnv without the cleanup hook; the caller closes e.m.
+func openEnv(t testing.TB) *env {
 	space := mvcc.NewSpace(1 << 10)
 	m := txn.NewManager(space, sts.NewRegistry(), txn.Config{SynchronousPropagation: true})
-	t.Cleanup(m.Close)
 	return &env{t: t, cat: table.NewCatalog(), space: space, m: m}
 }
 

@@ -71,11 +71,16 @@ func (c *Interval) Collect() RunStats {
 
 	// Step 2+3: gather the chains to inspect — either every chain reachable
 	// from groups with min(S) < CID <= bound (highest-CID-first,
-	// deduplicated), or, in FromHashTable mode, every registered chain.
+	// deduplicated), or, in FromHashTable mode, every registered chain. A
+	// chain of fewer than two versions has no interval garbage (its newest
+	// committed version is never reclaimed), so it is skipped up front.
 	var chains []*mvcc.Chain
+	var window []*mvcc.GroupCommitContext
 	if c.FromHashTable {
 		space.HT.ForEach(func(ch *mvcc.Chain) bool {
-			chains = append(chains, ch)
+			if ch.Len() >= 2 {
+				chains = append(chains, ch)
+			}
 			return true
 		})
 	} else {
@@ -88,11 +93,15 @@ func (c *Interval) Collect() RunStats {
 			if cid <= minS {
 				return false // below the window; the ordered list is done
 			}
+			window = append(window, g)
 			for _, v := range g.Versions() {
 				if v.Reclaimed() {
 					continue
 				}
 				ch := v.Chain()
+				if ch.Len() < 2 {
+					continue
+				}
 				if _, dup := seen[ch]; !dup {
 					seen[ch] = struct{}{}
 					chains = append(chains, ch)
@@ -106,13 +115,14 @@ func (c *Interval) Collect() RunStats {
 	// intersects no snapshot (Algorithm 1 runs inside ReclaimIntervals),
 	// optionally across several goroutines over disjoint chain partitions.
 	reclaimPart := func(part []*mvcc.Chain) (versions, scanned int64) {
+		var buf mvcc.IntervalScratch
 		for _, ch := range part {
 			scanned++
 			s := snaps
 			if c.TableAware {
 				s = c.m.Registry().SnapshotFor(ch.Key.Table)
 			}
-			versions += int64(space.ReclaimIntervals(ch, s, bound))
+			versions += int64(space.ReclaimIntervals(ch, s, bound, &buf))
 		}
 		return versions, scanned
 	}
@@ -142,6 +152,12 @@ func (c *Interval) Collect() RunStats {
 		v, s := reclaimPart(chains)
 		st.Versions += v
 		st.ChainsScanned += s
+	}
+	// Drop what this pass reclaimed from the window's group lists, so the
+	// versions leave memory even while the pinning snapshot keeps the groups
+	// themselves in the list.
+	for _, g := range window {
+		g.Compact()
 	}
 	st.Groups = pruneDrainedGroups(space)
 	st.Duration = time.Since(start)
@@ -219,6 +235,7 @@ func (c *GroupInterval) Collect() RunStats {
 				st.Versions++
 			}
 		}
+		g.Compact()
 		return true
 	})
 	st.Groups = pruneDrainedGroups(space)

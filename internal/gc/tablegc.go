@@ -80,12 +80,25 @@ func (c *TableGC) Collect() RunStats {
 	bound := c.globalTrackerBound()
 	st.Horizon = bound
 	space := c.m.Space()
-	// Per-table and per-partition horizons are stable during the pass;
-	// cache them.
-	tblHorizons := make(map[ts.TableID]ts.CID)
+	// Per-table and per-partition horizons are stable during the pass, and
+	// so is whether a table is partitioned; cache them, so unpartitioned
+	// tables cost no resolver call per version.
+	type tableInfo struct {
+		horizon     ts.CID
+		partitioned bool
+	}
+	tables := make(map[ts.TableID]tableInfo)
 	partHorizons := make(map[ts.PartKey]ts.CID)
 	horizonFor := func(key ts.RecordKey) ts.CID {
-		if c.Resolver != nil {
+		info, cached := tables[key.Table]
+		if !cached {
+			info.horizon = c.m.TableHorizon(key.Table)
+			if c.Resolver != nil {
+				_, info.partitioned = c.Resolver(key)
+			}
+			tables[key.Table] = info
+		}
+		if info.partitioned {
 			if p, ok := c.Resolver(key); ok {
 				pk := ts.PartKey{Table: key.Table, Partition: p}
 				h, cached := partHorizons[pk]
@@ -96,26 +109,19 @@ func (c *TableGC) Collect() RunStats {
 				return h
 			}
 		}
-		h, cached := tblHorizons[key.Table]
-		if !cached {
-			h = c.m.TableHorizon(key.Table)
-			tblHorizons[key.Table] = h
-		}
-		return h
+		return info.horizon
 	}
 	space.Groups.Ascending(func(g *mvcc.GroupCommitContext) bool {
 		cid := g.CID()
 		if cid >= bound {
 			return false
 		}
-		drained := true
 		for _, v := range g.Versions() {
 			if v.Reclaimed() {
 				continue
 			}
 			min := horizonFor(v.Key)
 			if cid >= min {
-				drained = false
 				continue
 			}
 			st.ChainsScanned++
@@ -130,11 +136,10 @@ func (c *TableGC) Collect() RunStats {
 			if res.Emptied {
 				st.ChainsEmptied++
 			}
-			if !v.Reclaimed() {
-				drained = false
-			}
 		}
-		if drained {
+		// A group with live versions left stays, minus what was reclaimed —
+		// here or earlier by another collector.
+		if g.Compact() == 0 {
 			space.Groups.Remove(g)
 			st.Groups++
 		}

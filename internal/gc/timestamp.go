@@ -115,14 +115,13 @@ func (c *GroupTimestamp) Collect() RunStats {
 
 // pruneDrainedGroups removes groups whose versions were all reclaimed by
 // other collectors, stopping at the first group that still holds live
-// versions (list order keeps the scan cheap).
+// versions (list order keeps the scan cheap). Compact gives the live count
+// and lets the reclaimed versions of that first group go.
 func pruneDrainedGroups(space *mvcc.Space) int64 {
 	var removed int64
 	space.Groups.Ascending(func(g *mvcc.GroupCommitContext) bool {
-		for _, v := range g.Versions() {
-			if !v.Reclaimed() {
-				return false
-			}
+		if g.Compact() > 0 {
+			return false
 		}
 		space.Groups.Remove(g)
 		removed++

@@ -359,13 +359,12 @@ func (s *Store) aggregateAt(l *Lane, p plan, op AggOp, at ts.CID) (*AggResult, e
 	if err != nil {
 		return nil, err
 	}
-	// Copy the dirty set BEFORE the chunk list. The migrator clears dirty
-	// flags only after swapping in rebuilt chunks, so this order guarantees
-	// a scan never pairs old chunks with a shrunken dirty set: either the
-	// row is still flagged here (row path, always correct), or the clear —
-	// and therefore the swap — happened before the chunk copy below.
-	dirty := l.dirtySnapshot()
-	chunks := l.snapshotChunks()
+	// The dirty set and the chunk list must come from the same side of a
+	// chunk swap. A pass flags every row it leaves absent (still versioned,
+	// undecodable) before its swap and clears flags only after it, so old
+	// chunks need the flags from before the clears and new chunks need the
+	// flags the build set. scanView copies both under the chunk lock.
+	dirty, chunks := l.scanView()
 	covered := ts.RID(l.coveredHi.Load())
 
 	a := newAcc(p)

@@ -192,6 +192,14 @@ func (l *Lane) snapshotChunks() []laneChunk {
 	return l.chunks
 }
 
+// scanView copies the dirty set and returns the chunk list as one pair: no
+// chunk swap falls between the two reads.
+func (l *Lane) scanView() (map[ts.RID]struct{}, []laneChunk) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.dirtySnapshot(), l.chunks
+}
+
 // Store runs the column lane over one engine instance (one shard). Lanes
 // are enabled per table; one background goroutine migrates all of them.
 type Store struct {

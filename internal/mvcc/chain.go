@@ -1,6 +1,7 @@
 package mvcc
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,24 +79,21 @@ func (c *Chain) VisibleAs(at ts.CID, own *TransContext) (v *Version, steps int) 
 	return nil, steps
 }
 
-// CommittedAscending returns the chain's committed versions and their CIDs in
-// ascending CID order — the T sequence of Definition 1. Uncommitted versions
-// (always the newest, at the head) are excluded. Must be called with the
-// chain latch held.
-func (c *Chain) committedAscendingLocked() ([]*Version, []ts.CID) {
-	var vs []*Version
+// committedAscendingLocked appends the chain's committed versions and their
+// CIDs to vs and cids in ascending CID order — the T sequence of Definition
+// 1. Uncommitted versions (always the newest, at the head) are excluded. Must
+// be called with the chain latch held.
+func (c *Chain) committedAscendingLocked(vs []*Version, cids []ts.CID) ([]*Version, []ts.CID) {
+	from := len(vs)
 	for cur := c.head.Load(); cur != nil; cur = cur.Older() {
 		if cur.Committed() {
 			vs = append(vs, cur)
 		}
 	}
 	// Chain order is latest-first; reverse into ascending CID order.
-	for i, j := 0, len(vs)-1; i < j; i, j = i+1, j-1 {
-		vs[i], vs[j] = vs[j], vs[i]
-	}
-	cids := make([]ts.CID, len(vs))
-	for i, v := range vs {
-		cids[i] = v.CID()
+	slices.Reverse(vs[from:])
+	for _, v := range vs[from:] {
+		cids = append(cids, v.CID())
 	}
 	return vs, cids
 }
@@ -104,7 +102,7 @@ func (c *Chain) committedAscendingLocked() ([]*Version, []ts.CID) {
 func (c *Chain) CommittedCIDs() []ts.CID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, cids := c.committedAscendingLocked()
+	_, cids := c.committedAscendingLocked(nil, nil)
 	return cids
 }
 

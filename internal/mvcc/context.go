@@ -22,6 +22,9 @@ type TransContext struct {
 	// group committer must not log it again.
 	skipLog atomic.Bool
 
+	// versions holds the transaction's versions until commit, when NewGroup
+	// moves them into the group's list (undo, the commit logger and
+	// prepare records read them before that).
 	mu       sync.Mutex
 	versions []*Version
 }
@@ -40,14 +43,15 @@ func (tc *TransContext) Add(v *Version) {
 }
 
 // Versions returns the versions created by this transaction, in creation
-// order.
+// order. After commit the group owns them and this returns nil.
 func (tc *TransContext) Versions() []*Version {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	return append([]*Version(nil), tc.versions...)
 }
 
-// VersionCount returns how many versions the transaction created.
+// VersionCount returns how many versions the transaction created (0 once
+// committed).
 func (tc *TransContext) VersionCount() int {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -83,8 +87,13 @@ func (tc *TransContext) CID() ts.CID {
 // are kept in a global list ordered by CID so that the group collector can
 // identify whole garbage groups without traversing individual versions.
 type GroupCommitContext struct {
-	cid  atomic.Uint64
-	txns []*TransContext
+	cid atomic.Uint64
+
+	// versions is the group's one version list: the member transactions'
+	// versions, moved out of their TransContexts when the group forms.
+	// Compact replaces it with a filtered copy; a slice once stored is never
+	// edited, so a walker that loaded it keeps a consistent view.
+	versions atomic.Pointer[[]*Version]
 
 	// List linkage. Structural changes are serialized by the owning
 	// GroupList's mutex, but the pointers are atomics so iterators can walk
@@ -95,13 +104,25 @@ type GroupCommitContext struct {
 }
 
 // NewGroup creates a commit group over the given transaction contexts and
-// points each of them at the group. The CID is still unassigned; the group
-// becomes visible the moment AssignCID stores it.
+// points each of them at the group. The members' version lists move into
+// the group, which becomes their only owner: the contexts keep no copy. The
+// CID is still unassigned; the group becomes visible the moment AssignCID
+// stores it.
 func NewGroup(txns []*TransContext) *GroupCommitContext {
-	g := &GroupCommitContext{txns: txns}
+	g := &GroupCommitContext{}
+	var vs []*Version
 	for _, tc := range txns {
+		tc.mu.Lock()
+		if vs == nil {
+			vs = tc.versions
+		} else {
+			vs = append(vs, tc.versions...)
+		}
+		tc.versions = nil
+		tc.mu.Unlock()
 		tc.setGroup(g)
 	}
+	g.versions.Store(&vs)
 	return g
 }
 
@@ -112,9 +133,6 @@ func (g *GroupCommitContext) AssignCID(c ts.CID) { g.cid.Store(uint64(c)) }
 // CID returns the group's commit identifier, or ts.Invalid before assignment.
 func (g *GroupCommitContext) CID() ts.CID { return ts.CID(g.cid.Load()) }
 
-// Transactions returns the member transaction contexts.
-func (g *GroupCommitContext) Transactions() []*TransContext { return g.txns }
-
 // Propagate writes the group CID into every member version entry (the
 // asynchronous backward CID propagation of §2.2), so later visibility checks
 // do not chase pointers. It returns the number of versions touched.
@@ -123,25 +141,55 @@ func (g *GroupCommitContext) Propagate() int {
 	if c == ts.Invalid {
 		return 0
 	}
-	n := 0
-	for _, tc := range g.txns {
-		for _, v := range tc.Versions() {
-			v.SetCID(c)
-			n++
-		}
+	vs := g.Versions()
+	for _, v := range vs {
+		v.SetCID(c)
 	}
-	return n
+	return len(vs)
 }
 
-// Versions returns every version entry belonging to the group, across all
-// member transactions.
-func (g *GroupCommitContext) Versions() []*Version {
-	var out []*Version
-	for _, tc := range g.txns {
-		out = append(out, tc.Versions()...)
+// Versions returns the group's version list without copying. It holds every
+// unreclaimed version of the group and possibly some reclaimed ones (until
+// Compact drops them); callers must not modify it.
+func (g *GroupCommitContext) Versions() []*Version { return *g.versions.Load() }
+
+// Compact drops reclaimed versions from the group's list once at least half
+// of it is reclaimed, so they become unreachable and their memory can be
+// freed, and returns the number of unreclaimed versions.
+//
+// The filtered list is a new slice swapped in atomically, never an in-place
+// edit, so concurrent walkers of the old slice are unaffected. A version
+// never becomes unreclaimed again, so any compaction — even one that filtered
+// a slice a concurrent compaction already replaced — yields a superset of the
+// live versions; the compare-and-swap only stops such a stale result from
+// replacing a newer one.
+func (g *GroupCommitContext) Compact() int {
+	p := g.versions.Load()
+	live := 0
+	for _, v := range *p {
+		if !v.Reclaimed() {
+			live++
+		}
 	}
-	return out
+	if dead := len(*p) - live; dead == 0 || dead < live {
+		return live
+	}
+	if live == 0 {
+		g.versions.CompareAndSwap(p, &noVersions)
+		return 0
+	}
+	kept := make([]*Version, 0, live)
+	for _, v := range *p {
+		if !v.Reclaimed() {
+			kept = append(kept, v)
+		}
+	}
+	g.versions.CompareAndSwap(p, &kept)
+	return len(kept)
 }
+
+// noVersions is the shared list of a fully reclaimed group.
+var noVersions []*Version
 
 // GroupList is the ordered list of GroupCommitContext objects (Figure 7).
 // Groups are appended in commit order, which is CID order, and removed by

@@ -124,6 +124,56 @@ func TestBackwardPropagation(t *testing.T) {
 	}
 }
 
+func TestGroupOwnsAndCompactsVersions(t *testing.T) {
+	tc1, tc2 := NewTransContext(1), NewTransContext(2)
+	var vs []*Version
+	for i := 0; i < 4; i++ {
+		tc := tc1
+		if i >= 2 {
+			tc = tc2
+		}
+		v := NewVersion(OpUpdate, key(uint64(i)), []byte("x"), tc)
+		tc.Add(v)
+		vs = append(vs, v)
+	}
+	g := NewGroup([]*TransContext{tc1, tc2})
+	if tc1.Versions() != nil || tc2.VersionCount() != 0 {
+		t.Fatal("members kept their version lists after the group formed")
+	}
+	if got := g.Versions(); len(got) != 4 {
+		t.Fatalf("group holds %d versions, want 4", len(got))
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = g.Versions() }); n != 0 {
+		t.Fatalf("Versions allocates %v times", n)
+	}
+
+	before := g.Versions()
+	vs[0].markReclaimed()
+	if live := g.Compact(); live != 3 || len(g.Versions()) != 4 {
+		t.Fatalf("below half reclaimed: live=%d len=%d, want 3 and no compaction", live, len(g.Versions()))
+	}
+	vs[2].markReclaimed()
+	if live := g.Compact(); live != 2 || len(g.Versions()) != 2 {
+		t.Fatalf("half reclaimed: live=%d len=%d, want 2 and 2", live, len(g.Versions()))
+	}
+	for i, v := range g.Versions() {
+		if v != vs[2*i+1] {
+			t.Fatalf("compacted list [%d] = %v, want %v", i, v, vs[2*i+1])
+		}
+	}
+	// Compaction swaps in a new slice; a walker's old view is untouched.
+	for i, v := range before {
+		if v != vs[i] {
+			t.Fatalf("old slice edited in place at %d", i)
+		}
+	}
+	vs[1].markReclaimed()
+	vs[3].markReclaimed()
+	if live := g.Compact(); live != 0 || len(g.Versions()) != 0 {
+		t.Fatalf("all reclaimed: live=%d len=%d, want 0 and 0", live, len(g.Versions()))
+	}
+}
+
 func TestGroupListOrdering(t *testing.T) {
 	gl := NewGroupList()
 	var gs []*GroupCommitContext
@@ -387,7 +437,7 @@ func TestReclaimIntervalsFigure1(t *testing.T) {
 		addVersion(t, s, rec, op, 1, fmt.Sprintf("v1%d", i+1), c)
 	}
 	c := s.HT.Get(key(1))
-	n := s.ReclaimIntervals(c, []ts.CID{3, 99}, 100)
+	n := s.ReclaimIntervals(c, []ts.CID{3, 99}, 100, new(IntervalScratch))
 	if n != 3 {
 		t.Fatalf("reclaimed %d versions, want 3", n)
 	}
@@ -410,13 +460,13 @@ func TestReclaimIntervalsNeverTouchesNewest(t *testing.T) {
 	addVersion(t, s, rec, OpInsert, 1, "a", 1)
 	addVersion(t, s, rec, OpUpdate, 1, "b", 2)
 	c := s.HT.Get(key(1))
-	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100); n != 1 {
+	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100, new(IntervalScratch)); n != 1 {
 		t.Fatalf("reclaimed %d, want 1 (only the older version)", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[2]" {
 		t.Fatalf("remaining = %v", got)
 	}
-	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100); n != 0 {
+	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100, new(IntervalScratch)); n != 0 {
 		t.Fatal("single-version chain must not shrink")
 	}
 }
@@ -430,7 +480,7 @@ func TestReclaimIntervalsEmptySnapshotSet(t *testing.T) {
 	addVersion(t, s, rec, OpInsert, 1, "a", 1)
 	addVersion(t, s, rec, OpUpdate, 1, "b", 2)
 	c := s.HT.Get(key(1))
-	if n := s.ReclaimIntervals(c, nil, 2); n != 1 {
+	if n := s.ReclaimIntervals(c, nil, 2, new(IntervalScratch)); n != 1 {
 		t.Fatalf("reclaimed %d with empty S and bound 2, want 1", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[2]" {
@@ -449,7 +499,7 @@ func TestReclaimIntervalsBound(t *testing.T) {
 	c := s.HT.Get(key(1))
 	// Bound 10 (a snapshot at 11 may be in flight, unregistered): nothing
 	// above the bound is eligible.
-	if n := s.ReclaimIntervals(c, []ts.CID{10}, 10); n != 0 {
+	if n := s.ReclaimIntervals(c, []ts.CID{10}, 10, new(IntervalScratch)); n != 0 {
 		t.Fatalf("reclaimed %d versions above bound, want 0", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[10 11 12]" {
@@ -458,7 +508,7 @@ func TestReclaimIntervalsBound(t *testing.T) {
 	// Bound 12: version 11 (interval [11,12), no snapshot inside, successor
 	// committed at or below the bound) is garbage; version 10 stays pinned
 	// by the snapshot at 10.
-	if n := s.ReclaimIntervals(c, []ts.CID{10}, 12); n != 1 {
+	if n := s.ReclaimIntervals(c, []ts.CID{10}, 12, new(IntervalScratch)); n != 1 {
 		t.Fatalf("reclaimed %d with bound 12, want 1", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[10 12]" {
@@ -694,7 +744,7 @@ func TestReclaimQuickModel(t *testing.T) {
 		}
 		for pass := 0; pass < 2; pass++ {
 			if next(2) == 0 {
-				s.ReclaimIntervals(ch, snaps, maxCID)
+				s.ReclaimIntervals(ch, snaps, maxCID, new(IntervalScratch))
 				if !check() {
 					return false
 				}
@@ -703,13 +753,13 @@ func TestReclaimQuickModel(t *testing.T) {
 			if !check() {
 				return false
 			}
-			s.ReclaimIntervals(ch, snaps, maxCID)
+			s.ReclaimIntervals(ch, snaps, maxCID, new(IntervalScratch))
 			if !check() {
 				return false
 			}
 		}
 		// Idempotence: nothing further to reclaim.
-		if n := s.ReclaimIntervals(ch, snaps, maxCID); n != 0 {
+		if n := s.ReclaimIntervals(ch, snaps, maxCID, new(IntervalScratch)); n != 0 {
 			return false
 		}
 		if res := s.ReclaimBelow(ch, minSnap); res.Versions != 0 {

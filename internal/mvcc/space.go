@@ -230,35 +230,41 @@ func (s *Space) ReclaimBelow(c *Chain, min ts.CID) ReclaimResult {
 //
 // Interval reclamation removes versions strictly in the middle of the
 // committed history, so the chain never empties here and nothing migrates to
-// the table space. Returns the number of versions reclaimed.
-func (s *Space) ReclaimIntervals(c *Chain, snaps []ts.CID, bound ts.CID) int {
+// the table space. buf is scratch space reused across the chains of one
+// pass. Returns the number of versions reclaimed.
+func (s *Space) ReclaimIntervals(c *Chain, snaps []ts.CID, bound ts.CID, buf *IntervalScratch) int {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		return 0
 	}
-	vs, cids := c.committedAscendingLocked()
+	vs, cids := c.committedAscendingLocked(buf.vs[:0], buf.cids[:0])
+	buf.vs, buf.cids = vs, cids
 	for len(cids) > 0 && cids[len(cids)-1] > bound {
 		vs, cids = vs[:len(vs)-1], cids[:len(cids)-1]
 	}
-	if len(vs) < 2 {
-		c.mu.Unlock()
-		return 0
-	}
-	mask := ts.GarbageMask(snaps, cids)
 	n := 0
 	var freed int64
-	for i, garbage := range mask {
-		if garbage && c.spliceOutLocked(vs[i]) && vs[i].markReclaimed() {
+	ts.ForEachGarbage(snaps, cids, func(i int) {
+		if c.spliceOutLocked(vs[i]) && vs[i].markReclaimed() {
 			n++
 			freed += footprint(vs[i])
 		}
-	}
+	})
 	c.mu.Unlock()
+	clear(buf.vs)
 	s.live.Add(int64(-n))
 	s.liveBytes.Add(-freed)
 	s.reclaimed.Add(int64(n))
 	return n
+}
+
+// IntervalScratch holds the buffers ReclaimIntervals fills with one chain's
+// committed history, so an interval pass allocates them once instead of per
+// chain. The zero value is ready to use; it is not safe for concurrent use.
+type IntervalScratch struct {
+	vs   []*Version
+	cids []ts.CID
 }
 
 // ReclaimVersionIf unlinks a single committed version when decide approves

@@ -452,6 +452,10 @@ func TestMonitoringViews(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("m_gc rows = %v", res.Rows)
 	}
+	res = mustExec(t, s, "SELECT runs, pass_us_total, pass_us_last FROM m_gc WHERE collector = 'SI'")
+	if len(res.Rows) != 1 || res.Rows[0][0].I < 1 || res.Rows[0][1].I < res.Rows[0][2].I {
+		t.Fatalf("m_gc SI pass durations = %v", res.Rows)
+	}
 	// m_tables lists user tables including the schema meta table.
 	res = mustExec(t, s, "SELECT COUNT(*) FROM m_tables WHERE name = 't'")
 	if res.Rows[0][0].I != 1 {

@@ -15,7 +15,8 @@ import (
 //
 //	m_version_space (metric TEXT, value INT)   — version/GC counters
 //	m_snapshots     (kind TEXT, timestamp INT, age_us INT, scoped INT)
-//	m_gc            (collector TEXT, reclaimed INT, runs INT)
+//	m_gc            (collector TEXT, reclaimed INT, runs INT,
+//	                 pass_us_total INT, pass_us_last INT)
 //	m_tables        (name TEXT, id INT, partitions INT)
 //	m_shards        (shard INT, versions_live INT, current_cid INT,
 //	                 horizon INT, snapshots INT)
@@ -101,23 +102,27 @@ var views = map[string]view{
 	"m_gc": {
 		info: viewInfo("m_gc", []ColumnDef{
 			{Name: "collector", Type: TText}, {Name: "reclaimed", Type: TInt},
-			{Name: "runs", Type: TInt}}),
+			{Name: "runs", Type: TInt}, {Name: "pass_us_total", Type: TInt},
+			{Name: "pass_us_last", Type: TInt}}),
+		// Counts and pass time sum over shards; pass_us_last is the longest
+		// of the shards' most recent passes.
 		build: func(s *Session) [][]Datum {
-			var gt, tg, si [2]int64
+			names := [3]string{"GT", "TG", "SI"}
+			var reclaimed, runs, total, last [3]int64
 			for i := 0; i < s.eng.Shards(); i++ {
 				h := s.eng.Shard(i).GC()
-				gt[0] += h.GT.Totals.Versions()
-				gt[1] += h.GT.Totals.Runs()
-				tg[0] += h.TG.Totals.Versions()
-				tg[1] += h.TG.Totals.Runs()
-				si[0] += h.SI.Totals.Versions()
-				si[1] += h.SI.Totals.Runs()
+				for j, t := range [3]*gc.Totals{&h.GT.Totals, &h.TG.Totals, &h.SI.Totals} {
+					reclaimed[j] += t.Versions()
+					runs[j] += t.Runs()
+					total[j] += t.PassTime().Microseconds()
+					last[j] = max(last[j], t.LastPass().Microseconds())
+				}
 			}
-			return [][]Datum{
-				{TextD("GT"), IntD(gt[0]), IntD(gt[1])},
-				{TextD("TG"), IntD(tg[0]), IntD(tg[1])},
-				{TextD("SI"), IntD(si[0]), IntD(si[1])},
+			rows := make([][]Datum, len(names))
+			for j, name := range names {
+				rows[j] = []Datum{TextD(name), IntD(reclaimed[j]), IntD(runs[j]), IntD(total[j]), IntD(last[j])}
 			}
+			return rows
 		},
 	},
 	"m_gc_regions": {

@@ -105,6 +105,14 @@ func NaiveIntersect(s, t []CID) []CID {
 // strictly increasing (committed versions of one record have distinct CIDs).
 func MergeIntersect(s, t []CID) []CID {
 	var out []CID
+	ForEachGarbage(s, t, func(i int) { out = append(out, t[i]) })
+	return out
+}
+
+// ForEachGarbage is the merge loop of MergeIntersect without the result
+// slice: it calls fn with the index in t of each garbage element, in
+// ascending order. Collectors that reclaim in place use it directly.
+func ForEachGarbage(s, t []CID, fn func(i int)) {
 	i, j := 0, 0
 	for i < len(t)-1 {
 		switch {
@@ -114,27 +122,18 @@ func MergeIntersect(s, t []CID) []CID {
 			// LGN(t[i], s) is s[j] (or Infinity when s is exhausted), and the
 			// next version's CID t[i+1] does not exceed it, so no snapshot
 			// lives inside [t[i], t[i+1]).
-			out = append(out, t[i])
+			fn(i)
 			i++
 		default:
 			i++
 		}
 	}
-	return out
 }
 
 // GarbageMask reports, for each element of t, whether it is garbage with
-// respect to s, as a boolean mask aligned with t. It is a convenience wrapper
-// over MergeIntersect used by collectors that reclaim in place.
+// respect to s, as a boolean mask aligned with t.
 func GarbageMask(s, t []CID) []bool {
 	mask := make([]bool, len(t))
-	garbage := MergeIntersect(s, t)
-	j := 0
-	for i, v := range t {
-		if j < len(garbage) && garbage[j] == v {
-			mask[i] = true
-			j++
-		}
-	}
+	ForEachGarbage(s, t, func(i int) { mask[i] = true })
 	return mask
 }

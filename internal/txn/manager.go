@@ -357,12 +357,13 @@ func putCommitReq(r *commitReq) {
 func (m *Manager) committer() {
 	defer m.wg.Done()
 	var (
-		drained  []*commitReq
-		real     []*commitReq
-		barBufs  [2][]*commitReq // double-buffered: one side is the live carry
-		barside  int
-		carry    []*commitReq // barriers awaiting their fence sweep
-		timer    *time.Timer
+		drained []*commitReq
+		real    []*commitReq
+		barBufs [2][]*commitReq // double-buffered: one side is the live carry
+		barside int
+		carry   []*commitReq // barriers awaiting their fence sweep
+		tcs     []*mvcc.TransContext
+		timer   *time.Timer
 	)
 	for {
 		if len(carry) == 0 {
@@ -424,7 +425,12 @@ func (m *Manager) committer() {
 			if end > len(real) {
 				end = len(real)
 			}
-			m.commitBatch(real[start:end])
+			tcs = tcs[:0]
+			for _, r := range real[start:end] {
+				tcs = append(tcs, r.tctx)
+			}
+			m.commitBatch(real[start:end], tcs)
+			clear(tcs)
 		}
 		// This sweep's publications are the fence the previous sweep's
 		// barriers were waiting for.
@@ -450,15 +456,12 @@ func splitRequests(reqs, real, barriers []*commitReq) ([]*commitReq, []*commitRe
 	return real, barriers
 }
 
-func (m *Manager) commitBatch(real []*commitReq) {
+// commitBatch logs and publishes one commit group; tcs holds the members'
+// contexts, in the order of real. The group takes over their versions but
+// not the slice, so the committer reuses it across batches.
+func (m *Manager) commitBatch(real []*commitReq, tcs []*mvcc.TransContext) {
 	if len(real) == 0 {
 		return
-	}
-	// The member slice is retained by the group for its whole lifetime, so it
-	// cannot come from a scratch buffer.
-	tcs := make([]*mvcc.TransContext, 0, len(real))
-	for _, r := range real {
-		tcs = append(tcs, r.tctx)
 	}
 	cid := ts.CID(m.commitTS.Load()) + 1
 	// Write-ahead logging: the group must be durable before anything makes
