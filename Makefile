@@ -15,11 +15,11 @@ test:
 
 # Race-check the concurrency-heavy packages (group commit, GC, version
 # space, the snapshot announcement array, pressure controller, the network
-# service layer, replication, the sharded engine and its 2PC path, the
-# lock-free hash table, and the WAL/wire hot paths) with -short to keep CI
-# latency sane.
+# service layer, replication, node assembly, the sharded engine and its 2PC
+# path, the lock-free hash table, and the WAL/wire hot paths) with -short to
+# keep CI latency sane.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/...
+	$(GO) test -race -short ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/...
 
 check: vet build test race
 

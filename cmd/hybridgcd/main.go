@@ -26,6 +26,9 @@
 // notice, and every open cursor is closed so its pinned snapshot stops
 // blocking garbage collection before the process exits.
 //
+// The process itself is assembled by internal/node; this command maps its
+// flags onto a node.Config.
+//
 // Usage:
 //
 //	hybridgcd -addr :7654 -gc hg
@@ -37,7 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
+	"log"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,340 +48,164 @@ import (
 	"time"
 
 	"hybridgc/internal/core"
-	"hybridgc/internal/engine"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/htap"
+	"hybridgc/internal/node"
 	"hybridgc/internal/profiling"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
-	"hybridgc/internal/shard"
 	"hybridgc/internal/wal"
 	"hybridgc/internal/workload"
 )
 
-type options struct {
-	addr       string
-	token      string
-	maxConns   int
-	idle       time.Duration
-	gcMode     workload.Mode
-	soft, hard int64
-	shards     int
+// settings is what the command line selects: the node to assemble, plus the
+// GC mode and profiling flags main reports and acts on itself.
+type settings struct {
+	node node.Config
+	gc   workload.Mode
+	prof profiling.Flags
+}
 
-	data        string
-	sync        bool
-	ckptEvery   time.Duration
-	replicaOf   string
-	replicaID   string
-	upstreamTok string
-	tokenWait   time.Duration
+// parseFlags maps the command line onto a node config. Its errors are usage
+// errors: main prints them and exits with status 2.
+func parseFlags(args []string) (settings, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	var (
+		addr     = fs.String("addr", "127.0.0.1:7654", "listen address")
+		token    = fs.String("token", "", "auth token clients must present in HELLO (empty disables auth)")
+		maxConns = fs.Int("maxconns", 256, "maximum concurrent connections")
+		idle     = fs.Duration("idle", 2*time.Minute, "per-connection idle timeout (releases cursors of silent peers)")
+		mode     = fs.String("gc", "hg", "garbage collection mode: none, gt, gttg, hg")
+		soft     = fs.Int64("soft", 0, "version-budget soft watermark (0 disables the budget)")
+		hard     = fs.Int64("hard", 0, "version-budget hard watermark (0 derives 2*soft)")
+		shards   = fs.Int("shards", 1, "engine shard count; >1 serves a horizontally sharded engine with per-shard WALs, GC and horizons")
 
-	replStale time.Duration
-	replWrite time.Duration
+		data      = fs.String("data", "", "persistence directory (WAL + checkpoints); enables serving replicas")
+		syncWAL   = fs.Bool("sync", false, "fsync the WAL on every commit group")
+		ckptEvery = fs.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 disables; requires -data)")
 
-	htapOn    bool
-	htapEvery time.Duration
+		replicaOf   = fs.String("replica-of", "", "primary address; run as a read-only replica of it")
+		replicaID   = fs.String("replica-id", "replica", "stable replica identity reported to the primary")
+		upstreamTok = fs.String("upstream-token", "", "auth token for the primary (replica mode)")
+		tokenWait   = fs.Duration("token-wait", 150*time.Millisecond, "replica mode: how long a read carrying a consistency token waits for the applier before bouncing with replica-behind")
+
+		replStale = fs.Duration("repl-stale-after", 0, "demote a silent replica after this long; replica: tolerated primary silence (0 selects defaults)")
+		replWrite = fs.Duration("repl-write-timeout", 0, "per-write deadline on replication streams (0 selects the default)")
+
+		htapOn    = fs.Bool("htap", false, "run the background row→column migrator; clients arm tables with the HTAP-ENABLE verb")
+		htapEvery = fs.Duration("htap-every", 25*time.Millisecond, "migrator pass interval (requires -htap)")
+	)
+	var s settings
+	s.prof.Register(fs)
+	_ = fs.Parse(args) // ExitOnError: a malformed flag exits 2 here
+
+	switch strings.ToLower(*mode) {
+	case "none":
+		s.gc = workload.ModeNone
+	case "gt":
+		s.gc = workload.ModeGT
+	case "gttg", "gt+tg":
+		s.gc = workload.ModeGTTG
+	case "hg", "hybrid":
+		s.gc = workload.ModeHG
+	default:
+		return s, fmt.Errorf("unknown -gc mode %q", *mode)
+	}
+	if *shards > 1 && *replicaOf != "" {
+		return s, errors.New("hybridgcd: -shards > 1 is incompatible with -replica-of (replicas are single-node)")
+	}
+
+	base := gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
+	s.node = node.Config{
+		Addr: *addr,
+		Engine: core.Config{
+			GC:                 s.gc.Periods(base),
+			LongLivedThreshold: 100 * time.Millisecond,
+			VersionBudget:      core.VersionBudget{Soft: *soft, Hard: *hard},
+		},
+		Shards: *shards,
+		Server: server.Config{Token: *token, MaxConns: *maxConns, IdleTimeout: *idle},
+		Source: repl.SourceConfig{StaleAfter: *replStale, WriteTimeout: *replWrite},
+		Replica: repl.ReplicaConfig{
+			Upstream:     *replicaOf,
+			Token:        *upstreamTok,
+			ReplicaID:    *replicaID,
+			StallTimeout: *replStale,
+			WriteTimeout: *replWrite,
+		},
+		CheckpointEvery: *ckptEvery,
+		TokenWait:       *tokenWait,
+	}
+	if *data != "" {
+		s.node.Engine.Persistence = &core.Persistence{Dir: *data, Sync: *syncWAL}
+	}
+	if *htapOn {
+		s.node.HTAP = &htap.Config{Interval: *htapEvery}
+	}
+	return s, nil
 }
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:7654", "listen address")
-		token    = flag.String("token", "", "auth token clients must present in HELLO (empty disables auth)")
-		maxConns = flag.Int("maxconns", 256, "maximum concurrent connections")
-		idle     = flag.Duration("idle", 2*time.Minute, "per-connection idle timeout (releases cursors of silent peers)")
-		mode     = flag.String("gc", "hg", "garbage collection mode: none, gt, gttg, hg")
-		soft     = flag.Int64("soft", 0, "version-budget soft watermark (0 disables the budget)")
-		hard     = flag.Int64("hard", 0, "version-budget hard watermark (0 derives 2*soft)")
-		shards   = flag.Int("shards", 1, "engine shard count; >1 serves a horizontally sharded engine with per-shard WALs, GC and horizons")
-
-		data      = flag.String("data", "", "persistence directory (WAL + checkpoints); enables serving replicas")
-		syncWAL   = flag.Bool("sync", false, "fsync the WAL on every commit group")
-		ckptEvery = flag.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 disables; requires -data)")
-
-		replicaOf   = flag.String("replica-of", "", "primary address; run as a read-only replica of it")
-		replicaID   = flag.String("replica-id", "replica", "stable replica identity reported to the primary")
-		upstreamTok = flag.String("upstream-token", "", "auth token for the primary (replica mode)")
-		tokenWait   = flag.Duration("token-wait", 150*time.Millisecond, "replica mode: how long a read carrying a consistency token waits for the applier before bouncing with replica-behind")
-
-		replStale = flag.Duration("repl-stale-after", 0, "demote a silent replica after this long; replica: tolerated primary silence (0 selects defaults)")
-		replWrite = flag.Duration("repl-write-timeout", 0, "per-write deadline on replication streams (0 selects the default)")
-
-		htapOn    = flag.Bool("htap", false, "run the background row→column migrator; clients arm tables with the HTAP-ENABLE verb")
-		htapEvery = flag.Duration("htap-every", 25*time.Millisecond, "migrator pass interval (requires -htap)")
-	)
-	var prof profiling.Flags
-	prof.Register(flag.CommandLine)
-	flag.Parse()
-
-	var m workload.Mode
-	switch strings.ToLower(*mode) {
-	case "none":
-		m = workload.ModeNone
-	case "gt":
-		m = workload.ModeGT
-	case "gttg", "gt+tg":
-		m = workload.ModeGTTG
-	case "hg", "hybrid":
-		m = workload.ModeHG
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -gc mode %q\n", *mode)
+	s, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := profiling.Start(prof); err != nil {
+	log.SetFlags(0)
+	log.SetPrefix("hybridgcd: ")
+	if err := profiling.Start(s.prof); err != nil {
 		fatal(err)
 	}
 	defer profiling.Stop()
-	opts := options{
-		addr: *addr, token: *token, maxConns: *maxConns, idle: *idle,
-		gcMode: m, soft: *soft, hard: *hard, shards: *shards,
-		data: *data, sync: *syncWAL, ckptEvery: *ckptEvery,
-		replicaOf: *replicaOf, replicaID: *replicaID, upstreamTok: *upstreamTok,
-		tokenWait: *tokenWait,
-		replStale: *replStale, replWrite: *replWrite,
-		htapOn: *htapOn, htapEvery: *htapEvery,
-	}
-	if opts.shards > 1 && opts.replicaOf != "" {
-		fmt.Fprintln(os.Stderr, "hybridgcd: -shards > 1 is incompatible with -replica-of (replicas are single-node)")
-		os.Exit(2)
-	}
 
+	cfg := s.node
+	replica := cfg.Replica.Upstream != ""
+	if cfg.Shards > 1 && cfg.Engine.Persistence != nil {
+		fmt.Println("hybridgcd: sharded engine persists per-shard WALs; serving replicas is single-node only and stays disabled")
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 
-	if opts.replicaOf != "" {
-		runReplica(opts, sig)
+	n, err := node.Start(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if replica {
+		fmt.Printf("hybridgcd: listening on %s (role=replica of %s id=%s)\n", n.Addr(), cfg.Replica.Upstream, cfg.Replica.ReplicaID)
+	} else {
+		role := "standalone"
+		switch {
+		case cfg.Shards > 1:
+			role = fmt.Sprintf("sharded x%d", cfg.Shards)
+		case n.Source() != nil:
+			role = "primary"
+		}
+		if cfg.HTAP != nil {
+			role += "+htap"
+		}
+		fmt.Printf("hybridgcd: listening on %s (role=%s gc=%s maxconns=%d)\n", n.Addr(), role, s.gc, cfg.Server.MaxConns)
+	}
+
+	select {
+	case sg := <-sig:
+		fmt.Printf("hybridgcd: %v — draining...\n", sg)
+	case err := <-n.Failed():
+		n.Close(5 * time.Second)
+		fatal(err)
+	}
+	st := n.Close(5 * time.Second)
+	if replica {
+		fmt.Printf("hybridgcd: replica applied %s\n", wal.LSN(st.ReplAppliedLSN))
 		return
 	}
-	runPrimary(opts, sig)
-}
-
-func engineConfig(opts options, readOnly bool) core.Config {
-	base := gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
-	cfg := core.Config{
-		GC:                 opts.gcMode.Periods(base),
-		LongLivedThreshold: 100 * time.Millisecond,
-		VersionBudget:      core.VersionBudget{Soft: opts.soft, Hard: opts.hard},
-		ReadOnly:           readOnly,
-	}
-	if !readOnly && opts.data != "" {
-		cfg.Persistence = &core.Persistence{Dir: opts.data, Sync: opts.sync}
-	}
-	return cfg
-}
-
-// runPrimary serves a standalone, primary or sharded engine until a signal
-// drains it.
-func runPrimary(opts options, sig <-chan os.Signal) {
-	var (
-		eng        engine.Engine
-		checkpoint func() error
-	)
-	if opts.shards > 1 {
-		cl, err := shard.Open(shard.Config{
-			Shards:    opts.shards,
-			Configure: func(int) core.Config { return engineConfig(opts, false) },
-		})
-		if err != nil {
-			fatal(err)
-		}
-		eng, checkpoint = cl, cl.Checkpoint
-	} else {
-		db, err := core.Open(engineConfig(opts, false))
-		if err != nil {
-			fatal(err)
-		}
-		eng, checkpoint = engine.NewSingle(db), db.Checkpoint
-	}
-	defer eng.Close()
-	if opts.gcMode != workload.ModeNone {
-		for i := 0; i < eng.Shards(); i++ {
-			g := eng.Shard(i).GC()
-			g.Start()
-			defer g.Stop()
-		}
-	}
-
-	srvCfg := server.Config{Token: opts.token, MaxConns: opts.maxConns, IdleTimeout: opts.idle}
-	var src *repl.Source
-	if opts.data != "" && opts.shards > 1 {
-		fmt.Println("hybridgcd: sharded engine persists per-shard WALs; serving replicas is single-node only and stays disabled")
-	}
-	if opts.data != "" && opts.shards <= 1 {
-		var err error
-		src, err = repl.NewSource(eng.Shard(0), repl.SourceConfig{
-			StaleAfter:   opts.replStale,
-			WriteTimeout: opts.replWrite,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer src.Close()
-		srvCfg.Repl = src
-		srvCfg.StatsHook = src.PopulateStats
-	}
-	srv, err := server.NewEngine(eng, srvCfg)
-	if err != nil {
-		fatal(err)
-	}
-	if opts.htapOn {
-		hm, err := htap.NewManager(eng, htap.Config{Interval: opts.htapEvery})
-		if err != nil {
-			fatal(err)
-		}
-		srv.Catalog().AttachHTAP(hm)
-		hm.Start()
-		defer hm.Stop()
-	}
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		fatal(err)
-	}
-	role := "standalone"
-	switch {
-	case opts.shards > 1:
-		role = fmt.Sprintf("sharded x%d", opts.shards)
-	case src != nil:
-		role = "primary"
-	}
-	if opts.htapOn {
-		role += "+htap"
-	}
-	fmt.Printf("hybridgcd: listening on %s (role=%s gc=%s maxconns=%d)\n", ln.Addr(), role, opts.gcMode, opts.maxConns)
-
-	stopCkpt := make(chan struct{})
-	if opts.ckptEvery > 0 && opts.data != "" {
-		go func() {
-			t := time.NewTicker(opts.ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopCkpt:
-					return
-				case <-t.C:
-					if err := checkpoint(); err != nil {
-						fmt.Fprintln(os.Stderr, "hybridgcd: checkpoint:", err)
-					}
-				}
-			}
-		}()
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case s := <-sig:
-		fmt.Printf("hybridgcd: %v — draining...\n", s)
-		close(stopCkpt)
-		srv.Shutdown(5 * time.Second)
-		<-done
-	case err := <-done:
-		close(stopCkpt)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	st := srv.Stats()
 	fmt.Printf("hybridgcd: served %d requests over %d connections (%d errors)\n",
 		st.Requests, st.ConnsTotal, st.RequestErrors)
 	fmt.Printf("hybridgcd: versions live=%d reclaimed=%d, cursors reaped=%d, latency p50=%s p99=%s\n",
 		st.VersionsLive, st.VersionsReclaimed, st.CursorsReaped,
 		time.Duration(st.LatP50), time.Duration(st.LatP99))
-	if src != nil {
+	if n.Source() != nil {
 		fmt.Printf("hybridgcd: replication sent=%d records, demotions=%d, replicas=%d\n",
 			st.ReplRecordsSent, st.ReplDemotions, len(st.Replicas))
-	}
-}
-
-// runReplica serves a read-only replica, rebuilding the engine from a fresh
-// checkpoint whenever the primary requires a re-bootstrap.
-func runReplica(opts options, sig <-chan os.Signal) {
-	for {
-		db, err := core.Open(engineConfig(opts, true))
-		if err != nil {
-			fatal(err)
-		}
-		if opts.gcMode != workload.ModeNone {
-			db.GC().Start()
-		}
-		rep, err := repl.NewReplica(db, repl.ReplicaConfig{
-			Upstream:     opts.replicaOf,
-			Token:        opts.upstreamTok,
-			ReplicaID:    opts.replicaID,
-			StallTimeout: opts.replStale,
-			WriteTimeout: opts.replWrite,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		srv, err := server.New(db, server.Config{
-			Token: opts.token, MaxConns: opts.maxConns, IdleTimeout: opts.idle,
-			StatsHook: rep.PopulateStats,
-			ReadGate:  readGate(rep, opts.tokenWait),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		ln, err := net.Listen("tcp", opts.addr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("hybridgcd: listening on %s (role=replica of %s id=%s)\n", ln.Addr(), opts.replicaOf, opts.replicaID)
-
-		srvDone := make(chan error, 1)
-		go func() { srvDone <- srv.Serve(ln) }()
-		repDone := make(chan error, 1)
-		go func() { repDone <- rep.Run() }()
-
-		select {
-		case s := <-sig:
-			fmt.Printf("hybridgcd: %v — draining...\n", s)
-			rep.Stop()
-			srv.Shutdown(5 * time.Second)
-			<-srvDone
-			<-repDone
-			db.Close()
-			fmt.Printf("hybridgcd: replica applied %s\n", rep.AppliedLSN())
-			return
-		case err := <-repDone:
-			rep.Stop()
-			srv.Shutdown(5 * time.Second)
-			<-srvDone
-			db.Close()
-			if errors.Is(err, repl.ErrBootstrapRequired) {
-				fmt.Fprintln(os.Stderr, "hybridgcd: re-bootstrapping:", err)
-				continue // fresh engine, fresh checkpoint
-			}
-			if err != nil {
-				fatal(err)
-			}
-			return
-		case err := <-srvDone:
-			rep.Stop()
-			<-repDone
-			db.Close()
-			if err != nil {
-				fatal(err)
-			}
-			return
-		}
-	}
-}
-
-// readGate adapts the replica's applier to the server's consistency-token
-// gate: a read whose token is already applied passes immediately; otherwise
-// it waits up to wait for the applier and bounces with the transient
-// core.ErrReplicaBehind so the client retries on another endpoint.
-func readGate(rep *repl.Replica, wait time.Duration) func(uint64) (bool, error) {
-	return func(minLSN uint64) (bool, error) {
-		target := wal.LSN(minLSN)
-		if rep.AppliedLSN() >= target {
-			return false, nil
-		}
-		if err := rep.WaitLSN(target, wait); err != nil {
-			return true, fmt.Errorf("%w: %v", core.ErrReplicaBehind, err)
-		}
-		return true, nil
 	}
 }
 

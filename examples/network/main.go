@@ -12,42 +12,33 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
 	"hybridgc/internal/gc"
+	"hybridgc/internal/node"
 	"hybridgc/internal/server"
 )
 
 func main() {
 	// The engine with all three collectors on a fast schedule, and a low
-	// long-lived threshold so the remote cursor is confined quickly.
-	db, err := core.Open(core.Config{
-		GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 20 * time.Millisecond, SI: 50 * time.Millisecond},
-		LongLivedThreshold: 20 * time.Millisecond,
+	// long-lived threshold so the remote cursor is confined quickly, served
+	// on loopback.
+	n, err := node.Start(node.Config{
+		Addr: "127.0.0.1:0",
+		Engine: core.Config{
+			GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 20 * time.Millisecond, SI: 50 * time.Millisecond},
+			LongLivedThreshold: 20 * time.Millisecond,
+		},
+		Server: server.Config{Token: "quickstart"},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
-	db.GC().Start()
-	defer db.GC().Stop()
+	fmt.Printf("server listening on %s\n", n.Addr())
 
-	// Serve it on loopback.
-	srv, err := server.New(db, server.Config{Token: "quickstart"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go srv.Serve(ln)
-	fmt.Printf("server listening on %s\n", ln.Addr())
-
-	cl, err := client.Dial(client.Config{Addr: ln.Addr().String(), Token: "quickstart"})
+	cl, err := client.Dial(client.Config{Addr: n.Addr(), Token: "quickstart"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +100,7 @@ func main() {
 	}
 
 	// Graceful drain: in-flight work finishes, cursors release, sockets close.
-	srv.Shutdown(2 * time.Second)
+	n.Close(2 * time.Second)
 	fmt.Printf("server drained; served %d requests over %d connections\n",
 		st.Requests, st.ConnsTotal)
 }

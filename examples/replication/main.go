@@ -11,15 +11,15 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"time"
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
 	"hybridgc/internal/gc"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
-	"hybridgc/internal/server"
+	"hybridgc/internal/wal"
 )
 
 func main() {
@@ -30,37 +30,24 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	pdb, err := core.Open(core.Config{
-		GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 20 * time.Millisecond, SI: 50 * time.Millisecond},
-		LongLivedThreshold: 20 * time.Millisecond,
-		Persistence:        &core.Persistence{Dir: dir},
+	primary, err := node.Start(node.Config{
+		Addr: "127.0.0.1:0",
+		Engine: core.Config{
+			GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 20 * time.Millisecond, SI: 50 * time.Millisecond},
+			LongLivedThreshold: 20 * time.Millisecond,
+			Persistence:        &core.Persistence{Dir: dir},
+		},
+		Source: repl.SourceConfig{HeartbeatEvery: 20 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pdb.Close()
-	pdb.GC().Start()
-	defer pdb.GC().Stop()
-
-	src, err := repl.NewSource(pdb, repl.SourceConfig{HeartbeatEvery: 20 * time.Millisecond})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
-	psrv, err := server.New(pdb, server.Config{Repl: src, StatsHook: src.PopulateStats})
-	if err != nil {
-		log.Fatal(err)
-	}
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go psrv.Serve(pln)
-	fmt.Printf("primary listening on %s (data in %s)\n", pln.Addr(), dir)
+	pdb := primary.DB()
+	fmt.Printf("primary listening on %s (data in %s)\n", primary.Addr(), dir)
 
 	// Seed some data before the replica exists — it will arrive there via
 	// the bootstrap checkpoint rather than the live tail.
-	pcl, err := client.Dial(client.Config{Addr: pln.Addr().String()})
+	pcl, err := client.Dial(client.Config{Addr: primary.Addr()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,42 +63,27 @@ func main() {
 	}
 
 	// The replica: an empty read-only engine that bootstraps from the
-	// primary's checkpoint and then tails its WAL.
-	rdb, err := core.Open(core.Config{ReadOnly: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rdb.Close()
-	rep, err := repl.NewReplica(rdb, repl.ReplicaConfig{
-		Upstream:    pln.Addr().String(),
-		ReplicaID:   "r1",
-		ReportEvery: 20 * time.Millisecond,
+	// primary's checkpoint, tails its WAL, and serves ordinary clients.
+	replica, err := node.Start(node.Config{
+		Addr: "127.0.0.1:0",
+		Replica: repl.ReplicaConfig{
+			Upstream:    primary.Addr(),
+			ReplicaID:   "r1",
+			ReportEvery: 20 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	repDone := make(chan error, 1)
-	go func() { repDone <- rep.Run() }()
-	defer rep.Stop()
-
-	// Serve the replica too, so ordinary clients can read from it.
-	rsrv, err := server.New(rdb, server.Config{StatsHook: rep.PopulateStats})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go rsrv.Serve(rln)
-
-	if err := rep.WaitLSN(pdb.WAL().NextLSN(), 5*time.Second); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("replica on %s caught up at LSN %s\n", rln.Addr(), rep.AppliedLSN())
+	replica.WithDB(func(_ *core.DB, rep *repl.Replica) {
+		if err := rep.WaitLSN(pdb.WAL().NextLSN(), 5*time.Second); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("replica on %s caught up at LSN %s\n", replica.Addr(), rep.AppliedLSN())
+	})
 
 	// Read the replicated rows through the replica's own server.
-	rcl, err := client.Dial(client.Config{Addr: rln.Addr().String()})
+	rcl, err := client.Dial(client.Config{Addr: replica.Addr()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,9 +125,7 @@ func main() {
 	fmt.Printf("cursor closed; primary horizon advanced to %d\n", pdb.Manager().GlobalHorizon())
 
 	// Drain both sides: the stream ends with a drain notice, pins release.
-	rsrv.Shutdown(2 * time.Second)
-	rep.Stop()
-	<-repDone
-	psrv.Shutdown(2 * time.Second)
-	fmt.Printf("drained; replica applied %s of the primary's WAL\n", rep.AppliedLSN())
+	st = replica.Close(2 * time.Second)
+	primary.Close(2 * time.Second)
+	fmt.Printf("drained; replica applied %s of the primary's WAL\n", wal.LSN(st.ReplAppliedLSN))
 }

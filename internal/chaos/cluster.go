@@ -2,15 +2,14 @@ package chaos
 
 import (
 	"fmt"
-	"net"
 	"os"
-	"sync"
 	"time"
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/netfault"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
 	"hybridgc/internal/ts"
@@ -35,9 +34,9 @@ const (
 type cluster struct {
 	dir string
 
-	db  *core.DB // primary engine
-	src *repl.Source
-	srv *server.Server
+	primary *node.Node
+	db      *core.DB // the primary's engine
+	src     *repl.Source
 
 	clientInj   *netfault.Injector
 	clientProxy *netfault.Proxy
@@ -49,8 +48,6 @@ type cluster struct {
 	ledger   ts.TableID
 	acctRIDs []ts.RID
 	total    int64
-
-	served chan struct{}
 }
 
 // startCluster builds the whole topology and seeds the bank.
@@ -59,42 +56,22 @@ func startCluster(opt Options) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &cluster{dir: dir, served: make(chan struct{})}
+	c := &cluster{dir: dir}
 	fail := func(err error) (*cluster, error) {
 		c.stop()
 		return nil, err
 	}
 
-	c.db, err = core.Open(engineConfig(dir, false))
-	if err != nil {
-		return fail(err)
-	}
-	c.db.GC().Start()
-	c.src, err = repl.NewSource(c.db, repl.SourceConfig{
+	c.primary, err = node.Start(primaryConfig(dir, repl.SourceConfig{
 		HeartbeatEvery: heartbeatEvery,
 		StaleAfter:     staleAfter,
 		WriteTimeout:   streamWriteTO,
-	})
+	}))
 	if err != nil {
 		return fail(err)
 	}
-	c.srv, err = server.New(c.db, server.Config{
-		Repl:         c.src,
-		StatsHook:    c.src.PopulateStats,
-		WriteTimeout: clientRequestTO,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	go func() {
-		defer close(c.served)
-		_ = c.srv.Serve(ln)
-	}()
-	addr := ln.Addr().String()
+	c.db, c.src = c.primary.DB(), c.primary.Source()
+	addr := c.primary.Addr()
 
 	// Seed the bank directly on the engine, before any network weather.
 	if err := c.seedBank(opt.Accounts); err != nil {
@@ -138,16 +115,37 @@ func startCluster(opt Options) (*cluster, error) {
 	return c, nil
 }
 
-func engineConfig(dir string, readOnly bool) core.Config {
-	cfg := core.Config{
+// primaryConfig is the chaos primary: a persistent engine on the chaos GC
+// profile serving replication streams tuned by src.
+func primaryConfig(dir string, src repl.SourceConfig) node.Config {
+	return node.Config{
+		Addr:   "127.0.0.1:0",
+		Engine: engineConfig(&core.Persistence{Dir: dir}),
+		Server: server.Config{WriteTimeout: clientRequestTO},
+		Source: src,
+	}
+}
+
+// replicaConfig is a chaos replica of upstream: the chaos GC profile on a
+// read-only engine, and the applier tuned by rc.
+func replicaConfig(upstream string, rc repl.ReplicaConfig) node.Config {
+	rc.Upstream = upstream
+	rc.ReportEvery = reportEvery
+	rc.ReconnectBase, rc.ReconnectMax = 10*time.Millisecond, 200*time.Millisecond
+	return node.Config{
+		Addr:    "127.0.0.1:0",
+		Engine:  engineConfig(nil),
+		Server:  server.Config{WriteTimeout: clientRequestTO},
+		Replica: rc,
+	}
+}
+
+func engineConfig(p *core.Persistence) core.Config {
+	return core.Config{
 		GC:                 gc.Periods{GT: 25 * time.Millisecond, TG: 75 * time.Millisecond, SI: 50 * time.Millisecond},
 		LongLivedThreshold: 50 * time.Millisecond,
-		ReadOnly:           readOnly,
+		Persistence:        p,
 	}
-	if !readOnly {
-		cfg.Persistence = &core.Persistence{Dir: dir}
-	}
-	return cfg
 }
 
 // seedBank creates the accounts and ledger tables and funds every account.
@@ -190,39 +188,21 @@ func (c *cluster) stop() {
 	for _, n := range c.replicas {
 		n.stop()
 	}
-	if c.srv != nil {
-		c.srv.Shutdown(5 * time.Second)
-		<-c.served
-	}
-	if c.src != nil {
-		c.src.Close()
-	}
-	if c.db != nil {
-		c.db.GC().Stop()
-		c.db.Close()
+	if c.primary != nil {
+		c.primary.Close(5 * time.Second)
 	}
 	if c.dir != "" {
 		os.RemoveAll(c.dir)
 	}
 }
 
-// replicaNode is one replica: a read-only engine streamed through a fault
-// proxy, with automatic re-bootstrap after demotion (the operator loop
-// hybridgcd runs, in-process). The engine handle swaps on re-bootstrap, so
-// readers take the RLock for the whole time they hold a cursor into it.
+// replicaNode is one replica node streaming from the primary through a fault
+// proxy. The node re-bootstraps itself after demotion; readers hold its
+// engine through WithDB for as long as they keep a cursor into it.
 type replicaNode struct {
-	id       string
-	upstream string // primary address, proxied
-	proxy    *netfault.Proxy
-
-	mu  sync.RWMutex
-	db  *core.DB
-	rep *repl.Replica
-
-	stopped      chan struct{}
-	done         chan struct{}
-	stopOnce     sync.Once
-	rebootstraps int64 // guarded by mu
+	id    string
+	proxy *netfault.Proxy
+	*node.Node
 }
 
 func startReplicaNode(id, primaryAddr string) (*replicaNode, error) {
@@ -230,110 +210,20 @@ func startReplicaNode(id, primaryAddr string) (*replicaNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &replicaNode{
-		id:       id,
-		upstream: proxy.Addr(),
-		proxy:    proxy,
-		stopped:  make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	if err := n.buildEngine(); err != nil {
+	nd, err := node.Start(replicaConfig(proxy.Addr(), repl.ReplicaConfig{
+		ReplicaID:    id,
+		DialTimeout:  300 * time.Millisecond,
+		StallTimeout: replicaStallTO,
+		WriteTimeout: streamWriteTO,
+	}))
+	if err != nil {
 		proxy.Close()
 		return nil, err
 	}
-	go n.run()
-	return n, nil
-}
-
-// buildEngine opens a fresh read-only engine and a Replica over it,
-// installing both under the write lock.
-func (n *replicaNode) buildEngine() error {
-	db, err := core.Open(engineConfig("", true))
-	if err != nil {
-		return err
-	}
-	db.GC().Start()
-	rep, err := repl.NewReplica(db, repl.ReplicaConfig{
-		Upstream:      n.upstream,
-		ReplicaID:     n.id,
-		ReportEvery:   reportEvery,
-		DialTimeout:   300 * time.Millisecond,
-		StallTimeout:  replicaStallTO,
-		WriteTimeout:  streamWriteTO,
-		ReconnectBase: 10 * time.Millisecond,
-		ReconnectMax:  200 * time.Millisecond,
-	})
-	if err != nil {
-		db.GC().Stop()
-		db.Close()
-		return err
-	}
-	n.mu.Lock()
-	n.db, n.rep = db, rep
-	n.mu.Unlock()
-	return nil
-}
-
-// run streams until stop, rebuilding the engine whenever the primary
-// requires a re-bootstrap (demotion, pruned segments, stale checkpoint).
-func (n *replicaNode) run() {
-	defer close(n.done)
-	for {
-		n.mu.RLock()
-		rep := n.rep
-		n.mu.RUnlock()
-		err := rep.Run()
-		select {
-		case <-n.stopped:
-			return
-		default:
-		}
-		if err == nil {
-			return // stopped concurrently
-		}
-		// ErrBootstrapRequired: discard the engine, start over empty.
-		n.mu.Lock()
-		old := n.db
-		n.rebootstraps++
-		n.mu.Unlock()
-		if err := n.buildEngine(); err != nil {
-			return
-		}
-		old.GC().Stop()
-		old.Close()
-	}
-}
-
-// withDB runs fn with the current engine handle held stable (no re-bootstrap
-// swap can close it while fn runs). fn must not block on the swapped lock.
-func (n *replicaNode) withDB(fn func(db *core.DB, rep *repl.Replica)) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	fn(n.db, n.rep)
-}
-
-func (n *replicaNode) rebootstrapCount() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.rebootstraps
+	return &replicaNode{id: id, proxy: proxy, Node: nd}, nil
 }
 
 func (n *replicaNode) stop() {
-	n.stopOnce.Do(func() {
-		close(n.stopped)
-		n.mu.RLock()
-		rep := n.rep
-		n.mu.RUnlock()
-		rep.Stop()
-		select {
-		case <-n.done:
-		case <-time.After(5 * time.Second):
-		}
-		n.proxy.Close()
-		n.mu.RLock()
-		db := n.db
-		n.mu.RUnlock()
-		db.GC().Stop()
-		db.Close()
-	})
+	n.Close(5 * time.Second)
+	n.proxy.Close()
 }

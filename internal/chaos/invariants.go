@@ -70,12 +70,12 @@ func Run(opt Options) (*Report, error) {
 	c.src.PopulateStats(&st)
 	rep.Demotions = int64(st.ReplDemotions)
 	for _, n := range c.replicas {
-		n.withDB(func(_ *core.DB, r *repl.Replica) {
+		n.WithDB(func(_ *core.DB, r *repl.Replica) {
 			var rs wire.Stats
 			r.PopulateStats(&rs)
 			rep.Reconnects += int64(rs.ReplReconnects)
 		})
-		rep.Rebootstraps += n.rebootstrapCount()
+		rep.Rebootstraps += n.Rebootstraps()
 	}
 	return rep, nil
 }
@@ -100,7 +100,7 @@ func startSnapshotHolders(c *cluster) *holderSet {
 					return
 				case <-time.After(40 * time.Millisecond):
 				}
-				n.withDB(func(db *core.DB, _ *repl.Replica) {
+				n.WithDB(func(db *core.DB, _ *repl.Replica) {
 					tid := db.TableID("accounts")
 					if tid == 0 {
 						return // mid-bootstrap; nothing to pin yet
@@ -186,10 +186,10 @@ func checkConvergence(c *cluster, rep *Report) {
 		return
 	}
 	for i, n := range c.replicas {
-		n.withDB(func(db *core.DB, r *repl.Replica) {
+		n.WithDB(func(db *core.DB, r *repl.Replica) {
 			if err := r.WaitLSN(target, 10*time.Second); err != nil {
 				rep.violatef("convergence: replica %d never reached %v after heal: %v (rebootstraps=%d)",
-					i, target, err, n.rebootstrapCount())
+					i, target, err, n.Rebootstraps())
 				return
 			}
 			acc, led := db.TableID("accounts"), db.TableID("ledger")
@@ -219,7 +219,7 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 	}
 	n := c.replicas[0]
 	m := c.db.Manager()
-	n.withDB(func(db *core.DB, _ *repl.Replica) {
+	n.WithDB(func(db *core.DB, _ *repl.Replica) {
 		tid := db.TableID("accounts")
 		if tid == 0 {
 			rep.violatef("horizon: replica 0 has no accounts table; cannot probe")

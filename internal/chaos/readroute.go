@@ -19,7 +19,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -28,9 +27,8 @@ import (
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
 	"hybridgc/internal/netfault"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
-	"hybridgc/internal/server"
-	"hybridgc/internal/wal"
 )
 
 // ReadRouteOptions configures one read-routing chaos run. The zero value
@@ -114,55 +112,6 @@ func (r *ReadRouteReport) Summary() string {
 	return s
 }
 
-// rrNode is one serving replica: a read-only engine applying the primary's
-// stream directly, fronted by a token-gated server the pool reaches only
-// through a fault proxy.
-type rrNode struct {
-	db     *core.DB
-	rep    *repl.Replica
-	srv    *server.Server
-	proxy  *netfault.Proxy
-	served chan struct{}
-	runErr chan error
-}
-
-func (n *rrNode) stop() {
-	if n.rep != nil {
-		n.rep.Stop()
-	}
-	if n.proxy != nil {
-		n.proxy.Close()
-	}
-	if n.srv != nil {
-		n.srv.Shutdown(5 * time.Second)
-		<-n.served
-	}
-	if n.runErr != nil {
-		select {
-		case <-n.runErr:
-		case <-time.After(5 * time.Second):
-		}
-	}
-	if n.db != nil {
-		n.db.Close()
-	}
-}
-
-// rrGate is the replica read gate, wired exactly like hybridgcd wires it:
-// pass when the applier covers the token, else wait briefly and bounce.
-func rrGate(rep *repl.Replica, wait time.Duration) func(uint64) (bool, error) {
-	return func(minLSN uint64) (bool, error) {
-		target := wal.LSN(minLSN)
-		if rep.AppliedLSN() >= target {
-			return false, nil
-		}
-		if err := rep.WaitLSN(target, wait); err != nil {
-			return true, fmt.Errorf("%w: %v", core.ErrReplicaBehind, err)
-		}
-		return true, nil
-	}
-}
-
 // RunReadRoute executes one read-routing chaos run.
 func RunReadRoute(opt ReadRouteOptions) (*ReadRouteReport, error) {
 	opt.fill()
@@ -175,80 +124,39 @@ func RunReadRoute(opt ReadRouteOptions) (*ReadRouteReport, error) {
 	defer os.RemoveAll(dir)
 
 	// Primary: persistent engine, replication source, ungated server.
-	db, err := core.Open(engineConfig(dir, false))
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	src, err := repl.NewSource(db, repl.SourceConfig{
+	primary, err := node.Start(primaryConfig(dir, repl.SourceConfig{
 		HeartbeatEvery: heartbeatEvery,
 		StaleAfter:     30 * time.Second, // streams stay healthy; never demote
 		WriteTimeout:   streamWriteTO,
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	psrv, err := server.New(db, server.Config{Repl: src, StatsHook: src.PopulateStats, WriteTimeout: clientRequestTO})
-	if err != nil {
-		return nil, err
-	}
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	served := make(chan struct{})
-	go func() { defer close(served); _ = psrv.Serve(pln) }()
-	defer func() { psrv.Shutdown(5 * time.Second); <-served }()
-	primaryAddr := pln.Addr().String()
+	defer primary.Close(5 * time.Second)
+	primaryAddr := primary.Addr()
 
-	// Replicas: direct stream in, proxied serving path out.
-	var nodes []*rrNode
-	defer func() {
-		for _, n := range nodes {
-			n.stop()
-		}
-	}()
+	// Replicas: direct stream in, token-gated serving path out through a
+	// fault proxy.
+	var proxies []*netfault.Proxy
 	var poolReplicas []string
 	for i := 0; i < opt.Replicas; i++ {
-		n := &rrNode{served: make(chan struct{}), runErr: make(chan error, 1)}
-		if n.db, err = core.Open(engineConfig("", true)); err != nil {
-			return nil, err
-		}
-		n.rep, err = repl.NewReplica(n.db, repl.ReplicaConfig{
-			Upstream:      primaryAddr,
-			ReplicaID:     fmt.Sprintf("rr%d", i),
-			ReportEvery:   reportEvery,
-			StallTimeout:  30 * time.Second,
-			ReconnectBase: 10 * time.Millisecond,
-			ReconnectMax:  200 * time.Millisecond,
+		cfg := replicaConfig(primaryAddr, repl.ReplicaConfig{
+			ReplicaID:    fmt.Sprintf("rr%d", i),
+			StallTimeout: 30 * time.Second,
 		})
+		cfg.TokenWait = 500 * time.Millisecond
+		n, err := node.Start(cfg)
 		if err != nil {
-			n.db.Close()
 			return nil, err
 		}
-		n.srv, err = server.New(n.db, server.Config{
-			StatsHook:    n.rep.PopulateStats,
-			ReadGate:     rrGate(n.rep, 500*time.Millisecond),
-			WriteTimeout: clientRequestTO,
-		})
+		defer n.Close(5 * time.Second)
+		p, err := netfault.NewProxy(n.Addr(), nil)
 		if err != nil {
-			n.db.Close()
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			n.db.Close()
-			return nil, err
-		}
-		go func() { defer close(n.served); _ = n.srv.Serve(ln) }()
-		go func() { n.runErr <- n.rep.Run() }()
-		if n.proxy, err = netfault.NewProxy(ln.Addr().String(), nil); err != nil {
-			nodes = append(nodes, n)
-			return nil, err
-		}
-		nodes = append(nodes, n)
-		poolReplicas = append(poolReplicas, n.proxy.Addr())
+		defer p.Close()
+		proxies = append(proxies, p)
+		poolReplicas = append(poolReplicas, p.Addr())
 	}
 
 	pool, err := client.NewReadPool(client.PoolConfig{
@@ -421,7 +329,7 @@ func RunReadRoute(opt ReadRouteOptions) (*ReadRouteReport, error) {
 	// makes every new exchange time out until the heal.
 	for round := 0; round < opt.Rounds; round++ {
 		victim := round % opt.Replicas
-		p := nodes[victim].proxy
+		p := proxies[victim]
 		faultActive.Store(true)
 		p.SetPartition(true, true)
 		p.DropLinks()

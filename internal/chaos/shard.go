@@ -10,7 +10,7 @@ import (
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/gc"
-	"hybridgc/internal/shard"
+	"hybridgc/internal/node"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
 )
@@ -74,19 +74,21 @@ func RunSharded(opt ShardedOptions) (*Report, error) {
 	opt.fill()
 	rep := &Report{Seed: opt.Seed}
 
-	cl, err := shard.Open(shard.Config{
+	// The sharded node hybridgcd -shards N serves, with per-shard GC
+	// schedulers running from the start.
+	sn, err := node.Start(node.Config{
+		Addr:   "127.0.0.1:0",
 		Shards: opt.Shards,
-		Configure: func(int) core.Config {
-			return core.Config{
-				GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 30 * time.Millisecond, SI: 25 * time.Millisecond},
-				LongLivedThreshold: 25 * time.Millisecond,
-			}
+		Engine: core.Config{
+			GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 30 * time.Millisecond, SI: 25 * time.Millisecond},
+			LongLivedThreshold: 25 * time.Millisecond,
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
+	defer sn.Close(5 * time.Second)
+	cl := sn.Engine()
 
 	tid, err := cl.CreateTable("rows")
 	if err != nil {
@@ -102,10 +104,6 @@ func RunSharded(opt ShardedOptions) (*Report, error) {
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	for i := 0; i < opt.Shards; i++ {
-		cl.Shard(i).GC().Start()
-		defer cl.Shard(i).GC().Stop()
 	}
 
 	rng := rand.New(rand.NewSource(opt.Seed))

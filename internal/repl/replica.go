@@ -188,6 +188,24 @@ func (r *Replica) WaitLSN(target wal.LSN, timeout time.Duration) error {
 	return nil
 }
 
+// ReadGate adapts the applier to the server's consistency-token gate
+// (server.Config.ReadGate): a read whose token is already applied passes at
+// once; otherwise it waits up to wait for the applier and then bounces with
+// the transient core.ErrReplicaBehind, so the client retries the read on
+// another endpoint.
+func (r *Replica) ReadGate(wait time.Duration) func(minLSN uint64) (waited bool, err error) {
+	return func(minLSN uint64) (bool, error) {
+		target := wal.LSN(minLSN)
+		if r.AppliedLSN() >= target {
+			return false, nil
+		}
+		if err := r.WaitLSN(target, wait); err != nil {
+			return true, fmt.Errorf("%w: %v", core.ErrReplicaBehind, err)
+		}
+		return true, nil
+	}
+}
+
 // streamOnce runs one stream attempt: dial, HELLO, OpReplStream, then apply
 // until the stream ends.
 func (r *Replica) streamOnce() error {

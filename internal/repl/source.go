@@ -40,11 +40,11 @@ type SourceConfig struct {
 	// it after StaleAfter). Without this bound a partition could pin the GC
 	// horizon for as long as the partition lasts.
 	WriteTimeout time.Duration
-	// SubscriptionBuffer sizes the live-tail channel per stream (<=0
-	// selects the wal default, 4096). A stream that cannot drain it is torn
-	// down rather than ever blocking commits.
-	SubscriptionBuffer int
 }
+
+// tailBuffer sizes each stream's live-tail channel. A stream that cannot
+// drain it is torn down rather than ever blocking commits.
+const tailBuffer = 4096
 
 func (c *SourceConfig) fill() {
 	if c.MaxSegmentLag <= 0 {
@@ -276,7 +276,7 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 
 	// Subscribe to live appends before looking at the disk so nothing falls
 	// between catch-up and tailing; duplicates are skipped by LSN order.
-	sub := s.log.Subscribe(s.cfg.SubscriptionBuffer)
+	sub := s.log.Subscribe(tailBuffer)
 	defer sub.Close()
 
 	var ck *wal.Checkpoint

@@ -44,8 +44,6 @@ type ReplHandler interface {
 
 // Config tunes a Server.
 type Config struct {
-	// Addr is the TCP listen address (ListenAndServe only).
-	Addr string
 	// Token, when non-empty, must be presented in HELLO.
 	Token string
 	// MaxConns bounds concurrent connections (<=0 selects 256). Connections
@@ -58,9 +56,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response (<=0 selects 30s).
 	WriteTimeout time.Duration
-	// LatencyReservoir sizes the request-latency histogram's bounded
-	// reservoir (<=0 selects metrics.DefaultHistogramCap).
-	LatencyReservoir int
 
 	// Repl, when set, accepts OpReplStream requests (a primary serving
 	// replicas). Nil servers reject the opcode.
@@ -146,7 +141,7 @@ func NewEngine(eng engine.Engine, cfg Config) (*Server, error) {
 		eng:   eng,
 		cat:   cat,
 		conns: make(map[*conn]struct{}),
-		lat:   metrics.NewHistogram(cfg.LatencyReservoir),
+		lat:   metrics.NewHistogram(metrics.DefaultHistogramCap),
 	}
 	if eng.Shards() == 1 {
 		s.tokenLog = eng.Shard(0).WAL()
@@ -167,15 +162,6 @@ func (s *Server) tokenLSN() uint64 {
 
 // Catalog exposes the server's SQL catalog (in-process callers and tests).
 func (s *Server) Catalog() *sql.Catalog { return s.cat }
-
-// ListenAndServe listens on cfg.Addr and serves until Shutdown.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
 
 // Serve accepts connections on ln until the listener is closed by Shutdown.
 // It returns nil after a graceful drain.
