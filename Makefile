@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-smoke contention-smoke chaos-smoke shard-smoke htap-smoke replica-smoke clean
+.PHONY: all build vet test race check bench bench-json bench-smoke contention-smoke fuzz-smoke chaos-smoke shard-smoke htap-smoke replica-smoke clean
 
 all: check
 
@@ -43,6 +43,17 @@ bench-smoke:
 contention-smoke:
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x ./internal/sts ./internal/txn
 	GOMAXPROCS=4 $(GO) test -race -short -run 'TestSnapshotSetAndBoundInvariantStress' ./internal/txn
+
+# CI smoke: every stdlib fuzz target for 3 s each. The targets cover bytes
+# decoded from disk or the network; they are found by name, so a new Fuzz*
+# function runs here without editing this file.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=perfbench --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: $$t in $$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s $$(dirname $$f); \
+		done; \
+	done
 
 # CI smoke: the deterministic network-chaos harness over a small fixed seed
 # set. Each seed runs the replicated cluster + bank workload under a seeded

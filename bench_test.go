@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hybridgc/internal/bench"
-	"hybridgc/internal/colstore"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/txn"
@@ -344,80 +343,6 @@ func BenchmarkWorkloadThroughputByMode(b *testing.B) {
 			b.ReportMetric(tput, "stmts/s")
 		})
 	}
-}
-
-// BenchmarkAblationColumnVsRowAggregate compares a SUM aggregate over the
-// column store's settled vectors against the same aggregate decoding
-// row-store payloads — the §2.1 reason HANA pairs a column store with the
-// row store for OLAP.
-func BenchmarkAblationColumnVsRowAggregate(b *testing.B) {
-	const rows = 4096
-	b.Run("column", func(b *testing.B) {
-		db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
-		defer db.Close()
-		m := db.Manager()
-		cs := colstore.New(m)
-		tbl, err := cs.CreateTable("FACTS", colstore.Schema{
-			Names: []string{"amount"}, Types: []colstore.ColumnType{colstore.Int64}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < rows; i++ {
-			tx := m.Begin(StmtSI, nil)
-			if _, err := cs.Insert(tx, tbl, colstore.Row{colstore.IntV(int64(i))}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		db.GC().Collect() // settle into vectors
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx := m.Begin(TransSI, nil)
-			if _, err := cs.SumInt64(tx, tbl, 0); err != nil {
-				b.Fatal(err)
-			}
-			tx.Abort()
-		}
-	})
-	b.Run("row", func(b *testing.B) {
-		db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
-		defer db.Close()
-		tid, _ := db.CreateTable("FACTS")
-		for i := 0; i < rows; i++ {
-			img := make([]byte, 8)
-			for j := 0; j < 8; j++ {
-				img[j] = byte(i >> (8 * j))
-			}
-			if err := db.Exec(StmtSI, nil, func(tx *Tx) error {
-				_, err := tx.Insert(tid, img)
-				return err
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		db.GC().Collect()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var sum int64
-			err := db.Exec(TransSI, nil, func(tx *Tx) error {
-				return tx.Scan(tid, func(_ RID, img []byte) bool {
-					var v int64
-					for j := 0; j < 8; j++ {
-						v |= int64(img[j]) << (8 * j)
-					}
-					sum += v
-					return true
-				})
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationChainTraversalDepth quantifies §2.2's latest-first

@@ -3,7 +3,6 @@ package colstore
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"hybridgc/internal/ts"
 )
@@ -26,57 +25,6 @@ var ErrDictOverflow = errors.New("colstore: chunk string dictionary exceeds boun
 // DefaultMaxDictSize bounds a chunk column's string dictionary when the
 // builder is given no explicit bound.
 const DefaultMaxDictSize = 1 << 16
-
-// EncodeRow serializes a row in the version-payload layout (int64 as 8
-// little-endian bytes, strings length-prefixed). The layout is shared with
-// the SQL row codec, so SQL row images decode directly into column vectors.
-func EncodeRow(s Schema, row Row) ([]byte, error) { return encodeRow(s, row) }
-
-// DecodeRow parses a version payload back into cells.
-func DecodeRow(s Schema, b []byte) (Row, error) { return decodeRow(s, b) }
-
-// Spec renders the schema as a compact string ("id:int,name:str"), the form
-// the engine's HTAP lane record carries through the log.
-func (s Schema) Spec() string {
-	var b strings.Builder
-	for i, n := range s.Names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(n)
-		b.WriteByte(':')
-		if s.Types[i] == Int64 {
-			b.WriteString("int")
-		} else {
-			b.WriteString("str")
-		}
-	}
-	return b.String()
-}
-
-// ParseSpec parses the Spec form back into a schema.
-func ParseSpec(spec string) (Schema, error) {
-	var s Schema
-	if spec == "" {
-		return s, fmt.Errorf("colstore: empty schema spec")
-	}
-	for _, part := range strings.Split(spec, ",") {
-		name, typ, ok := strings.Cut(part, ":")
-		if !ok || name == "" {
-			return s, fmt.Errorf("colstore: bad schema spec column %q", part)
-		}
-		s.Names = append(s.Names, name)
-		switch typ {
-		case "int":
-			s.Types = append(s.Types, Int64)
-		case "str":
-			s.Types = append(s.Types, String)
-		default:
-			return s, fmt.Errorf("colstore: bad schema spec type %q", typ)
-		}
-	}
-	return s, s.Validate()
-}
 
 // chunkInts is one Int64 column of a chunk: a plain vector, one slot per
 // RID in the chunk's range.

@@ -1,43 +1,20 @@
-// Package colstore implements the in-memory column store of §2.1: SAP HANA
-// keeps a row store for high-performance OLTP and a column store for
-// high-performance OLAP, "seamlessly integrated" under the unified
-// transaction manager — transactions across both stores share commit
-// timestamps and snapshots while "each store has its own version space
-// layout".
-//
-// This column store shares the transaction manager, the snapshot registry
-// and the version space with the row-store engine: recent changes live as
-// ordinary version chains (playing the delta-store role), and garbage
-// collection migrates settled images into columnar main storage — typed
-// column vectors with dictionary-encoded strings. Once a row's chain is
-// collected, scans read the vectors directly with no per-row decoding,
-// which is the column store's OLAP advantage. All collectors, including the
-// table collector's per-table snapshot scoping (§4.3's row/column
-// separation argument), work on column tables unchanged.
+// Package colstore is the data format of the HTAP lane's column store
+// (§2.1): the typed row-image layout every table-space payload of a
+// lane-enabled or SQL table uses, the compact schema spec the lane's log
+// record carries, and the immutable dictionary-encoded chunks the migrator
+// builds (chunk.go). The lane itself — migration, the visibility guard and
+// vectorized scans under the shared transaction manager — is internal/htap.
 package colstore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"hybridgc/internal/mvcc"
-	"hybridgc/internal/ts"
-	"hybridgc/internal/txn"
+	"strings"
 )
 
-// Errors returned by the column store.
-var (
-	ErrTableExists    = errors.New("colstore: table already exists")
-	ErrSchemaMismatch = errors.New("colstore: row does not match schema")
-	ErrNotFound       = errors.New("colstore: record not found")
-)
-
-// baseTableID is where column-store table IDs start, keeping them disjoint
-// from row-store IDs inside the shared per-table snapshot trackers.
-const baseTableID ts.TableID = 1 << 16
+// ErrSchemaMismatch reports a row whose arity does not match its schema.
+var ErrSchemaMismatch = errors.New("colstore: row does not match schema")
 
 // ColumnType is a column's value type.
 type ColumnType uint8
@@ -55,14 +32,18 @@ type Schema struct {
 	Types []ColumnType
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency. Column names must survive the Spec
+// form, which separates columns with ',' and a name from its type with ':'.
 func (s Schema) Validate() error {
 	if len(s.Names) == 0 || len(s.Names) != len(s.Types) {
 		return fmt.Errorf("colstore: invalid schema: %d names, %d types", len(s.Names), len(s.Types))
 	}
-	for _, t := range s.Types {
+	for i, t := range s.Types {
 		if t != Int64 && t != String {
 			return fmt.Errorf("colstore: unknown column type %d", t)
+		}
+		if n := s.Names[i]; n == "" || strings.ContainsAny(n, ",:") {
+			return fmt.Errorf("colstore: invalid column name %q", n)
 		}
 	}
 	return nil
@@ -81,8 +62,11 @@ func StrV(v string) Value { return Value{S: v} }
 // Row is one row's cells in schema order.
 type Row []Value
 
-// encodeRow serializes a row as the version payload.
-func encodeRow(s Schema, row Row) ([]byte, error) {
+// EncodeRow serializes a row in the version-payload layout: int64 as 8
+// little-endian bytes, strings as a 4-byte little-endian length and the
+// bytes. SQL rows use the same codec, so their images decode directly into
+// column vectors.
+func EncodeRow(s Schema, row Row) ([]byte, error) {
 	if len(row) != len(s.Types) {
 		return nil, fmt.Errorf("%w: %d values for %d columns", ErrSchemaMismatch, len(row), len(s.Types))
 	}
@@ -99,8 +83,8 @@ func encodeRow(s Schema, row Row) ([]byte, error) {
 	return b, nil
 }
 
-// decodeRow parses a version payload back into cells.
-func decodeRow(s Schema, b []byte) (Row, error) {
+// DecodeRow parses a version payload back into cells.
+func DecodeRow(s Schema, b []byte) (Row, error) {
 	row := make(Row, len(s.Types))
 	off := 0
 	for i, t := range s.Types {
@@ -117,7 +101,7 @@ func decodeRow(s Schema, b []byte) (Row, error) {
 			}
 			n := int(binary.LittleEndian.Uint32(b[off:]))
 			off += 4
-			if off+n > len(b) {
+			if n > len(b)-off {
 				return nil, fmt.Errorf("colstore: truncated string at column %d", i)
 			}
 			row[i].S = string(b[off : off+n])
@@ -130,131 +114,45 @@ func decodeRow(s Schema, b []byte) (Row, error) {
 	return row, nil
 }
 
-// column is one typed vector.
-type column interface {
-	set(slot int, v Value)
-	get(slot int) Value
-	grow(n int)
-}
-
-// int64Column is a plain vector.
-type int64Column struct {
-	vals []int64
-}
-
-func (c *int64Column) grow(n int) {
-	for len(c.vals) < n {
-		c.vals = append(c.vals, 0)
-	}
-}
-func (c *int64Column) set(slot int, v Value) { c.vals[slot] = v.I }
-func (c *int64Column) get(slot int) Value    { return Value{I: c.vals[slot]} }
-
-// stringColumn is dictionary-encoded: distinct values live once in dict,
-// rows store codes.
-type stringColumn struct {
-	dict  []string
-	index map[string]uint32
-	codes []uint32
-}
-
-func newStringColumn() *stringColumn {
-	return &stringColumn{index: make(map[string]uint32)}
-}
-
-func (c *stringColumn) grow(n int) {
-	for len(c.codes) < n {
-		c.codes = append(c.codes, 0)
-	}
-}
-
-func (c *stringColumn) set(slot int, v Value) {
-	code, ok := c.index[v.S]
-	if !ok {
-		code = uint32(len(c.dict))
-		c.dict = append(c.dict, v.S)
-		c.index[v.S] = code
-	}
-	c.codes[slot] = code
-}
-
-func (c *stringColumn) get(slot int) Value {
-	return Value{S: c.dict[c.codes[slot]]}
-}
-
-// DictSize returns the number of distinct values (dictionary cardinality).
-func (c *stringColumn) DictSize() int { return len(c.dict) }
-
-// Table is one column-store table: columnar main storage plus the shared
-// version space for unsettled changes.
-type Table struct {
-	ID     ts.TableID
-	Name   string
-	schema Schema
-
-	store *Store
-
-	mu      sync.RWMutex
-	cols    []column
-	present []bool
-	refs    map[ts.RID]*recordRef
-	nextRID atomic.Uint64
-}
-
-// Schema returns the table's schema.
-func (t *Table) Schema() Schema { return t.schema }
-
-// Store owns the column-store catalog over a shared transaction manager.
-type Store struct {
-	m     *txn.Manager
-	space *mvcc.Space
-
-	mu     sync.RWMutex
-	tables map[string]*Table
-	nextID uint32
-}
-
-// New creates a column store sharing the given transaction manager (and
-// through it, the version space, snapshot registry and garbage collectors).
-func New(m *txn.Manager) *Store {
-	return &Store{m: m, space: m.Space(), tables: make(map[string]*Table)}
-}
-
-// CreateTable registers a column table.
-func (s *Store) CreateTable(name string, schema Schema) (*Table, error) {
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.tables[name]; dup {
-		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
-	}
-	s.nextID++
-	t := &Table{
-		ID:     baseTableID + ts.TableID(s.nextID),
-		Name:   name,
-		schema: schema,
-		store:  s,
-	}
-	for _, ct := range schema.Types {
-		switch ct {
-		case Int64:
-			t.cols = append(t.cols, &int64Column{})
-		case String:
-			t.cols = append(t.cols, newStringColumn())
+// Spec renders the schema as a compact string ("id:int,name:str"), the form
+// the engine's HTAP lane record carries through the log.
+func (s Schema) Spec() string {
+	var b strings.Builder
+	for i, n := range s.Names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(n)
+		b.WriteByte(':')
+		if s.Types[i] == Int64 {
+			b.WriteString("int")
+		} else {
+			b.WriteString("str")
 		}
 	}
-	s.tables[name] = t
-	return t, nil
+	return b.String()
 }
 
-// Table resolves a column table by name, or nil.
-func (s *Store) Table(name string) *Table {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[name]
+// ParseSpec parses the Spec form back into a schema.
+func ParseSpec(spec string) (Schema, error) {
+	var s Schema
+	if spec == "" {
+		return s, fmt.Errorf("colstore: empty schema spec")
+	}
+	for _, part := range strings.Split(spec, ",") {
+		name, typ, ok := strings.Cut(part, ":")
+		if !ok || name == "" {
+			return s, fmt.Errorf("colstore: bad schema spec column %q", part)
+		}
+		s.Names = append(s.Names, name)
+		switch typ {
+		case "int":
+			s.Types = append(s.Types, Int64)
+		case "str":
+			s.Types = append(s.Types, String)
+		default:
+			return s, fmt.Errorf("colstore: bad schema spec type %q", typ)
+		}
+	}
+	return s, s.Validate()
 }
-
-// Manager returns the shared transaction manager.
-func (s *Store) Manager() *txn.Manager { return s.m }

@@ -1,26 +1,13 @@
 package colstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"hybridgc/internal/gc"
-	"hybridgc/internal/mvcc"
-	"hybridgc/internal/sts"
-	"hybridgc/internal/ts"
-	"hybridgc/internal/txn"
 )
-
-func newStore(t *testing.T) (*Store, *txn.Manager) {
-	t.Helper()
-	m := txn.NewManager(mvcc.NewSpace(256), sts.NewRegistry(), txn.Config{SynchronousPropagation: true})
-	t.Cleanup(m.Close)
-	return New(m), m
-}
 
 func salesSchema() Schema {
 	return Schema{
@@ -29,24 +16,19 @@ func salesSchema() Schema {
 	}
 }
 
-func exec(t *testing.T, m *txn.Manager, fn func(tx *txn.Txn) error) {
-	t.Helper()
-	tx := m.Begin(txn.StmtSI, nil)
-	if err := fn(tx); err != nil {
-		tx.Abort()
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSchemaValidation(t *testing.T) {
-	if err := (Schema{}).Validate(); err == nil {
-		t.Fatal("empty schema must fail")
+	bad := map[string]Schema{
+		"empty":            {},
+		"unknown type":     {Names: []string{"a"}, Types: []ColumnType{99}},
+		"empty name":       {Names: []string{""}, Types: []ColumnType{Int64}},
+		"comma in name":    {Names: []string{"a,b"}, Types: []ColumnType{Int64}},
+		"colon in name":    {Names: []string{"a:b"}, Types: []ColumnType{String}},
+		"later empty name": {Names: []string{"a", ""}, Types: []ColumnType{Int64, String}},
 	}
-	if err := (Schema{Names: []string{"a"}, Types: []ColumnType{99}}).Validate(); err == nil {
-		t.Fatal("unknown type must fail")
+	for what, s := range bad {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", what, s)
+		}
 	}
 	if err := salesSchema().Validate(); err != nil {
 		t.Fatal(err)
@@ -56,18 +38,18 @@ func TestSchemaValidation(t *testing.T) {
 func TestRowCodecRoundTrip(t *testing.T) {
 	s := salesSchema()
 	row := Row{StrV("EMEA"), IntV(-42)}
-	b, err := encodeRow(s, row)
+	b, err := EncodeRow(s, row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeRow(s, b)
+	got, err := DecodeRow(s, b)
 	if err != nil || !reflect.DeepEqual(got, row) {
 		t.Fatalf("roundtrip = %v, %v", got, err)
 	}
-	if _, err := encodeRow(s, Row{IntV(1)}); !errors.Is(err, ErrSchemaMismatch) {
+	if _, err := EncodeRow(s, Row{IntV(1)}); !errors.Is(err, ErrSchemaMismatch) {
 		t.Fatalf("arity mismatch = %v", err)
 	}
-	if _, err := decodeRow(s, b[:3]); err == nil {
+	if _, err := DecodeRow(s, b[:3]); err == nil {
 		t.Fatal("truncated row must fail")
 	}
 }
@@ -79,11 +61,11 @@ func TestRowCodecQuick(t *testing.T) {
 			return true
 		}
 		row := Row{StrV(str), IntV(n)}
-		b, err := encodeRow(s, row)
+		b, err := EncodeRow(s, row)
 		if err != nil {
 			return false
 		}
-		got, err := decodeRow(s, b)
+		got, err := DecodeRow(s, b)
 		return err == nil && reflect.DeepEqual(got, row)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -91,209 +73,74 @@ func TestRowCodecQuick(t *testing.T) {
 	}
 }
 
-func TestCRUDThroughVersionSpace(t *testing.T) {
-	s, m := newStore(t)
-	tbl, err := s.CreateTable("SALES", salesSchema())
-	if err != nil {
-		t.Fatal(err)
+// fuzzSchema derives a valid schema from fuzz bytes: one column per byte
+// (at most 16), Int64 for even bytes and String for odd ones.
+func fuzzSchema(kinds []byte) Schema {
+	if len(kinds) > 16 {
+		kinds = kinds[:16]
 	}
-	if _, err := s.CreateTable("SALES", salesSchema()); !errors.Is(err, ErrTableExists) {
-		t.Fatal("duplicate table must fail")
-	}
-	if tbl.ID < baseTableID {
-		t.Fatalf("column table ID %d collides with row-store range", tbl.ID)
-	}
-
-	var rid ts.RID
-	exec(t, m, func(tx *txn.Txn) error {
-		var err error
-		rid, err = s.Insert(tx, tbl, Row{StrV("EMEA"), IntV(100)})
-		return err
-	})
-	// Before GC, the row is served from the version chain (the delta).
-	if tbl.SettledRows() != 0 {
-		t.Fatal("row must not be in main before migration")
-	}
-	readTx := m.Begin(txn.StmtSI, nil)
-	defer readTx.Abort()
-	row, err := s.Get(readTx, tbl, rid)
-	if err != nil || row[0].S != "EMEA" || row[1].I != 100 {
-		t.Fatalf("get = %v, %v", row, err)
-	}
-
-	exec(t, m, func(tx *txn.Txn) error {
-		return s.Update(tx, tbl, rid, Row{StrV("EMEA"), IntV(150)})
-	})
-	row, _ = s.Get(readTx, tbl, rid)
-	if row[1].I != 150 {
-		t.Fatalf("updated read = %v", row)
-	}
-
-	exec(t, m, func(tx *txn.Txn) error { return s.Delete(tx, tbl, rid) })
-	if _, err := s.Get(readTx, tbl, rid); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted get = %v", err)
-	}
-	if err := s.Update(readTx, tbl, 999, Row{StrV("x"), IntV(1)}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("update missing = %v", err)
-	}
-}
-
-func TestGCMigratesIntoColumnVectors(t *testing.T) {
-	s, m := newStore(t)
-	tbl, _ := s.CreateTable("SALES", salesSchema())
-	regions := []string{"EMEA", "APJ", "AMER"}
-	var want int64
-	for i := 0; i < 30; i++ {
-		i := i
-		exec(t, m, func(tx *txn.Txn) error {
-			_, err := s.Insert(tx, tbl, Row{StrV(regions[i%3]), IntV(int64(i))})
-			return err
-		})
-		want += int64(i)
-	}
-	// Everything lives in chains until the group collector migrates it.
-	if live := m.Space().Live(); live != 30 {
-		t.Fatalf("live = %d", live)
-	}
-	gc.NewGroupTimestamp(m).Collect()
-	if live := m.Space().Live(); live != 0 {
-		t.Fatalf("live after GC = %d", live)
-	}
-	if got := tbl.SettledRows(); got != 30 {
-		t.Fatalf("settled = %d, want 30", got)
-	}
-	// Dictionary encoding: 3 distinct regions over 30 rows.
-	if card := tbl.DictCardinality(0); card != 3 {
-		t.Fatalf("dictionary cardinality = %d, want 3", card)
-	}
-	// Columnar aggregate over main storage.
-	tx := m.Begin(txn.StmtSI, nil)
-	defer tx.Abort()
-	sum, err := s.SumInt64(tx, tbl, 1)
-	if err != nil || sum != want {
-		t.Fatalf("sum = %d, %v (want %d)", sum, err, want)
-	}
-	if _, err := s.SumInt64(tx, tbl, 0); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatal("summing a string column must fail")
-	}
-}
-
-func TestColumnScanSeesConsistentSnapshot(t *testing.T) {
-	s, m := newStore(t)
-	tbl, _ := s.CreateTable("SALES", salesSchema())
-	var rids []ts.RID
-	for i := 0; i < 10; i++ {
-		exec(t, m, func(tx *txn.Txn) error {
-			rid, err := s.Insert(tx, tbl, Row{StrV("r"), IntV(1)})
-			rids = append(rids, rid)
-			return err
-		})
-	}
-	gc.NewGroupTimestamp(m).Collect()
-
-	// A Trans-SI reader pins its snapshot; concurrent updates double every
-	// amount; the reader's sum must stay at the old values.
-	reader := m.Begin(txn.TransSI, nil)
-	defer reader.Abort()
-	for _, rid := range rids {
-		exec(t, m, func(tx *txn.Txn) error {
-			return s.Update(tx, tbl, rid, Row{StrV("r"), IntV(2)})
-		})
-	}
-	sum, err := s.SumInt64(reader, tbl, 1)
-	if err != nil || sum != 10 {
-		t.Fatalf("pinned sum = %d, %v (want 10)", sum, err)
-	}
-	fresh := m.Begin(txn.StmtSI, nil)
-	defer fresh.Abort()
-	sum, _ = s.SumInt64(fresh, tbl, 1)
-	if sum != 20 {
-		t.Fatalf("fresh sum = %d, want 20", sum)
-	}
-}
-
-// TestRowColumnSeparationUnderTG reproduces §4.3's motivating scenario with
-// an actual column store: a long-lived OLAP snapshot over a column table
-// must not block reclamation of the row-store-style OLTP tables once the
-// table collector scopes it.
-func TestRowColumnSeparationUnderTG(t *testing.T) {
-	s, m := newStore(t)
-	colTbl, _ := s.CreateTable("FACTS", salesSchema())
-	exec(t, m, func(tx *txn.Txn) error {
-		_, err := s.Insert(tx, colTbl, Row{StrV("EMEA"), IntV(1)})
-		return err
-	})
-
-	// An OLTP "row table" lives in the same version space under a row-store
-	// table ID; we emulate its writes directly through the shared space.
-	rowTableID := ts.TableID(1)
-	writeRow := func(rid ts.RID, img string) {
-		tx := m.Begin(txn.StmtSI, nil)
-		rec := &nopRef{}
-		v := mvcc.NewVersion(mvcc.OpUpdate, ts.RecordKey{Table: rowTableID, RID: rid}, []byte(img), tx.Context())
-		tx.Context().Add(v)
-		if _, err := m.Space().Prepend(rec, v, tx.ConflictCheck()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
+	var s Schema
+	for i, k := range kinds {
+		s.Names = append(s.Names, fmt.Sprintf("c%d", i))
+		if k%2 == 0 {
+			s.Types = append(s.Types, Int64)
+		} else {
+			s.Types = append(s.Types, String)
 		}
 	}
-
-	// Long OLAP snapshot over the column table only.
-	olap := m.AcquireSnapshot(txn.KindCursor, []ts.TableID{colTbl.ID})
-	defer olap.Release()
-
-	for i := 0; i < 50; i++ {
-		writeRow(ts.RID(1+i%5), fmt.Sprintf("v%d", i))
-	}
-	gt := gc.NewGroupTimestamp(m)
-	gt.Collect()
-	blocked := m.Space().Live()
-	if blocked < 50 {
-		t.Fatalf("GT must be blocked by the OLAP snapshot, live=%d", blocked)
-	}
-
-	tg := gc.NewTableGC(m, time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	st := tg.Collect()
-	if st.SnapshotsScoped != 1 {
-		t.Fatalf("TG scoped %d snapshots", st.SnapshotsScoped)
-	}
-	if st.Versions == 0 {
-		t.Fatal("TG must reclaim the row tables' versions")
-	}
-	// The OLAP reader still sees its pinned column data.
-	reader := m.Begin(txn.TransSI, nil)
-	defer reader.Abort()
-	if got := m.Space().Live(); got >= blocked {
-		t.Fatalf("row-table versions not reclaimed: %d >= %d", got, blocked)
-	}
+	return s
 }
 
-type nopRef struct{}
-
-func (*nopRef) InstallImage([]byte) {}
-func (*nopRef) DropRecord()         {}
-func (*nopRef) SetVersioned(bool)   {}
-
-func TestWriteConflictAcrossStores(t *testing.T) {
-	s, m := newStore(t)
-	tbl, _ := s.CreateTable("SALES", salesSchema())
-	var rid ts.RID
-	exec(t, m, func(tx *txn.Txn) error {
-		var err error
-		rid, err = s.Insert(tx, tbl, Row{StrV("x"), IntV(1)})
-		return err
+// FuzzDecodeRow feeds arbitrary payloads to the row decoder — the only one
+// recovery, replica apply and the lane's migrator use. It must never panic,
+// and any payload it accepts must re-encode to the same bytes.
+func FuzzDecodeRow(f *testing.F) {
+	for _, r := range []Row{{StrV("EMEA"), IntV(-42)}, {StrV(""), IntV(0)}} {
+		img, err := EncodeRow(salesSchema(), r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte{1, 0}, img)
+		f.Add([]byte{1, 0}, img[:len(img)-1])
+	}
+	f.Add([]byte{0, 1}, []byte{7, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255})
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, kinds, img []byte) {
+		s := fuzzSchema(kinds)
+		row, err := DecodeRow(s, img)
+		if err != nil {
+			return
+		}
+		back, err := EncodeRow(s, row)
+		if err != nil {
+			t.Fatalf("re-encode of a decoded row failed: %v", err)
+		}
+		if !bytes.Equal(back, img) {
+			t.Fatalf("re-encode = %x, decoded from %x", back, img)
+		}
 	})
-	t1 := m.Begin(txn.StmtSI, nil)
-	defer t1.Abort()
-	t2 := m.Begin(txn.StmtSI, nil)
-	defer t2.Abort()
-	if err := s.Update(t1, tbl, rid, Row{StrV("x"), IntV(2)}); err != nil {
-		t.Fatal(err)
+}
+
+// FuzzParseSpec feeds arbitrary strings to the parser of the lane record's
+// schema spec. Any spec it accepts must render to a spec that parses back
+// to the same schema, so a lane survives every restart.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		salesSchema().Spec(), chunkSchema.Spec(), "id:float", "", "a,b:int", "a:b:int", ":int",
+	} {
+		f.Add(seed)
 	}
-	if err := s.Update(t2, tbl, rid, Row{StrV("x"), IntV(3)}); !errors.Is(err, txn.ErrWriteConflict) {
-		t.Fatalf("conflict = %v", err)
-	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(s.Spec())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) ok, but its Spec %q does not parse: %v", spec, s.Spec(), err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("spec round trip %+v != %+v", again, s)
+		}
+	})
 }

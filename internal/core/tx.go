@@ -25,14 +25,6 @@ func (db *DB) Begin(iso txn.Isolation, declaredTables ...ts.TableID) *Tx {
 	return &Tx{db: db, inner: db.m.Begin(iso, declaredTables)}
 }
 
-// WrapTxn adapts a raw transaction to the engine's operation API. This is
-// how one transaction spans the row store and the column store under the
-// unified transaction manager (§2.1): create the transaction on the
-// manager, run column-store operations on it directly, and row-store
-// operations through the wrapper; everything commits in one group with one
-// CID.
-func (db *DB) WrapTxn(inner *txn.Txn) *Tx { return &Tx{db: db, inner: inner} }
-
 // Isolation returns the transaction's isolation variant.
 func (tx *Tx) Isolation() txn.Isolation { return tx.inner.Isolation() }
 

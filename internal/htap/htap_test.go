@@ -612,3 +612,127 @@ func TestBackgroundMigrator(t *testing.T) {
 	}
 	t.Fatalf("background migrator made no progress: %+v", st.Stats())
 }
+
+// TestUnloggableSchemaRejected is the regression test for lane schemas whose
+// column names the log's spec form cannot carry (",", ":" or empty): they
+// used to be accepted, logged, and then fail the next open's recovery. Now
+// EnableTable rejects them, and the database reopens with no lane.
+func TestUnloggableSchemaRejected(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *core.DB {
+		return openTest(t, core.Config{Persistence: &core.Persistence{Dir: dir}})
+	}
+	names := []string{"a,b", "a:b", ""}
+	db := open()
+	st := newTestStore(t, db)
+	for i, name := range names {
+		tid, err := db.CreateTable(fmt.Sprintf("T%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := colstore.Schema{Names: []string{name}, Types: []colstore.ColumnType{colstore.Int64}}
+		if err := st.EnableTable(tid, bad); err == nil {
+			t.Errorf("EnableTable accepted column name %q", name)
+		}
+	}
+	db.Close()
+
+	db2 := open()
+	st2, err := NewStore(db2, Config{ChunkSlots: 8})
+	if err != nil {
+		t.Fatalf("reopen failed: %v", err)
+	}
+	if n := len(st2.Stats()); n != 0 {
+		t.Fatalf("rejected schemas left %d lanes behind", n)
+	}
+}
+
+// TestRowColumnSeparationUnderTG is §4.3's motivating scenario on the lane:
+// a long OLAP cursor declared on the lane-enabled FACTS table blocks the
+// global group collector for every table, but once the table collector
+// scopes it to FACTS, the churned ORDERS row table is reclaimed — while the
+// cursor's aggregate over FACTS still returns the answer it pinned.
+func TestRowColumnSeparationUnderTG(t *testing.T) {
+	db := openTest(t, core.Config{LongLivedThreshold: time.Nanosecond})
+	facts, err := db.CreateTable("FACTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders, err := db.CreateTable("ORDERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, db)
+	if err := st.EnableTable(facts, laneSchema); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	rids := make([]ts.RID, n)
+	for i := range rids {
+		rids[i] = insertRow(t, db, facts, 10, "emea")
+	}
+	db.GC().Collect()
+	if got := st.Migrate(); got != n {
+		t.Fatalf("Migrate moved %d rows, want %d", got, n)
+	}
+
+	olap := db.Manager().AcquireSnapshot(txn.KindCursor, []ts.TableID{facts})
+	defer olap.Release()
+	for _, rid := range rids {
+		updateRow(t, db, facts, rid, 20, "emea") // FACTS moves on past the cursor
+	}
+
+	var hot ts.RID
+	if err := db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+		var err error
+		hot, err = tx.Insert(orders, []byte("hot"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const churn = 50
+	for i := 0; i < churn; i++ {
+		if err := db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+			return tx.Update(orders, hot, []byte(fmt.Sprintf("hot-%d", i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db.GC().RunGT()
+	blocked := db.Space().Live()
+	if blocked < n+churn {
+		t.Fatalf("GT must be blocked by the OLAP cursor: live=%d, want >= %d", blocked, n+churn)
+	}
+
+	time.Sleep(time.Millisecond) // age the cursor past the long-lived threshold
+	tg := db.GC().RunTG()
+	if tg.SnapshotsScoped != 1 {
+		t.Fatalf("TG scoped %d snapshots, want 1", tg.SnapshotsScoped)
+	}
+	if tg.Versions < churn {
+		t.Fatalf("TG reclaimed %d versions, want the %d ORDERS versions", tg.Versions, churn)
+	}
+	if live := db.Space().Live(); live > blocked-churn {
+		t.Fatalf("ORDERS versions not reclaimed: live %d, blocked %d", live, blocked)
+	}
+
+	// The FACTS updates stay chained under the scoped cursor, so the
+	// migrator must leave them on the row path, and the cursor's aggregate
+	// still reads the world it pinned.
+	st.Migrate()
+	p, err := compile(laneSchema, AggSpec{Op: AggSum, Col: "amount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.aggregateAt(st.lane(facts), p, AggSum, olap.TS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Groups[0].Sum; got != n*10 {
+		t.Fatalf("pinned SUM = %d, want %d", got, n*10)
+	}
+	if sum, _ := scalar(t, st, facts, AggSpec{Op: AggSum, Col: "amount"}); sum != n*20 {
+		t.Fatalf("fresh SUM = %d, want %d", sum, n*20)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/htap"
@@ -33,6 +34,11 @@ type TableInfo struct {
 	ID      ts.TableID
 	Columns []ColumnDef
 
+	// schema is the row-image layout in colstore's format: the codec SQL
+	// rows are written and read with, and the layout EnableHTAP hands the
+	// column lane. Its column names are lower-cased, as the parser
+	// normalizes them.
+	schema colstore.Schema
 	colIdx map[string]int
 
 	mu      sync.RWMutex
@@ -171,7 +177,14 @@ func newTableInfo(name string, id ts.TableID, cols []ColumnDef) *TableInfo {
 	ti := &TableInfo{Name: name, ID: id, Columns: cols,
 		colIdx: make(map[string]int), indexes: make(map[string]anyIndex)}
 	for i, c := range cols {
-		ti.colIdx[strings.ToLower(c.Name)] = i
+		name := strings.ToLower(c.Name)
+		ti.colIdx[name] = i
+		ti.schema.Names = append(ti.schema.Names, name)
+		if c.Type == TInt {
+			ti.schema.Types = append(ti.schema.Types, colstore.Int64)
+		} else {
+			ti.schema.Types = append(ti.schema.Types, colstore.String)
+		}
 	}
 	return ti
 }
@@ -189,6 +202,9 @@ func (c *Catalog) CreateTable(name string, cols []ColumnDef) (*TableInfo, error)
 	for _, col := range cols {
 		if seen[col.Name] {
 			return nil, fmt.Errorf("sql: duplicate column %q", col.Name)
+		}
+		if col.Type != TInt && col.Type != TText {
+			return nil, fmt.Errorf("sql: column %q has unknown type %d", col.Name, col.Type)
 		}
 		seen[col.Name] = true
 	}
@@ -252,55 +268,32 @@ func (c *Catalog) DB() *core.DB { return c.eng.Shard(0) }
 
 // --- row and schema codecs ---
 
-// encodeRow serializes datums per the schema.
-func encodeRow(cols []ColumnDef, row []Datum) ([]byte, error) {
-	if len(row) != len(cols) {
-		return nil, fmt.Errorf("%w: %d values for %d columns", ErrTypeMismatch, len(row), len(cols))
+// encodeRow checks each datum's type against its column — the values come
+// from outside the program — and serializes the row with colstore's codec.
+func (t *TableInfo) encodeRow(row []Datum) ([]byte, error) {
+	if len(row) != len(t.Columns) {
+		return nil, fmt.Errorf("%w: %d values for %d columns", ErrTypeMismatch, len(row), len(t.Columns))
 	}
-	var b []byte
-	for i, col := range cols {
+	cells := make(colstore.Row, len(row))
+	for i, col := range t.Columns {
 		if row[i].Type != col.Type {
 			return nil, fmt.Errorf("%w: column %s is %s, value is %s",
 				ErrTypeMismatch, col.Name, col.Type, row[i].Type)
 		}
-		switch col.Type {
-		case TInt:
-			b = binary.LittleEndian.AppendUint64(b, uint64(row[i].I))
-		case TText:
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(row[i].S)))
-			b = append(b, row[i].S...)
-		}
+		cells[i] = colstore.Value{I: row[i].I, S: row[i].S}
 	}
-	return b, nil
+	return colstore.EncodeRow(t.schema, cells)
 }
 
-// decodeRow parses a stored row.
-func decodeRow(cols []ColumnDef, b []byte) ([]Datum, error) {
-	row := make([]Datum, len(cols))
-	off := 0
-	for i, col := range cols {
-		switch col.Type {
-		case TInt:
-			if off+8 > len(b) {
-				return nil, fmt.Errorf("sql: truncated row at column %s", col.Name)
-			}
-			row[i] = IntD(int64(binary.LittleEndian.Uint64(b[off:])))
-			off += 8
-		case TText:
-			if off+4 > len(b) {
-				return nil, fmt.Errorf("sql: truncated row at column %s", col.Name)
-			}
-			n := int(binary.LittleEndian.Uint32(b[off:]))
-			off += 4
-			if off+n > len(b) {
-				return nil, fmt.Errorf("sql: truncated text at column %s", col.Name)
-			}
-			row[i] = TextD(string(b[off : off+n]))
-			off += n
-		}
+// decodeRow parses a stored row image with colstore's codec.
+func (t *TableInfo) decodeRow(b []byte) ([]Datum, error) {
+	cells, err := colstore.DecodeRow(t.schema, b)
+	if err != nil {
+		return nil, fmt.Errorf("sql: table %s: %w", t.Name, err)
 	}
-	if off != len(b) {
-		return nil, fmt.Errorf("sql: %d trailing bytes in row", len(b)-off)
+	row := make([]Datum, len(cells))
+	for i, c := range cells {
+		row[i] = Datum{Type: t.Columns[i].Type, I: c.I, S: c.S}
 	}
 	return row, nil
 }
@@ -344,12 +337,20 @@ func decodeSchema(b []byte) (string, []ColumnDef, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
+	// Each column takes at least a type byte and a name length, so a count
+	// the remaining bytes cannot hold is corrupt, not an allocation size.
+	if n > (len(b)-off)/5 {
+		return "", nil, errors.New("sql: corrupt schema row")
+	}
 	cols := make([]ColumnDef, 0, n)
 	for i := 0; i < n; i++ {
 		if off+1 > len(b) {
 			return "", nil, errors.New("sql: corrupt schema row")
 		}
 		ct := ColType(b[off])
+		if ct != TInt && ct != TText {
+			return "", nil, fmt.Errorf("sql: unknown column type %d in schema row", ct)
+		}
 		off++
 		cn, ok := readStr()
 		if !ok {

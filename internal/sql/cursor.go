@@ -118,7 +118,7 @@ func (qc *QueryCursor) Fetch(n int) ([][]Datum, core.FetchStats, error) {
 			return out, total, err
 		}
 		for _, img := range imgs {
-			row, err := decodeRow(qc.t.Columns, img)
+			row, err := qc.t.decodeRow(img)
 			if err != nil {
 				return out, total, err
 			}

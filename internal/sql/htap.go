@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 
-	"hybridgc/internal/colstore"
 	"hybridgc/internal/htap"
 )
 
@@ -47,24 +46,7 @@ func (c *Catalog) EnableHTAP(table string) error {
 	if err != nil {
 		return err
 	}
-	return m.EnableTable(t.ID, laneSchema(t.Columns))
-}
-
-// laneSchema converts a SQL schema to the column lane's layout. The byte
-// codecs agree (int64 little-endian, length-prefixed strings), so row
-// images written by SQL decode directly into column vectors. Column names
-// are lower-cased to match the parser's normalization.
-func laneSchema(cols []ColumnDef) colstore.Schema {
-	var sch colstore.Schema
-	for _, c := range cols {
-		sch.Names = append(sch.Names, strings.ToLower(c.Name))
-		if c.Type == TInt {
-			sch.Types = append(sch.Types, colstore.Int64)
-		} else {
-			sch.Types = append(sch.Types, colstore.String)
-		}
-	}
-	return sch
+	return m.EnableTable(t.ID, t.schema)
 }
 
 var aggOps = map[string]htap.AggOp{

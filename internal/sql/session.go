@@ -187,7 +187,7 @@ func (s *Session) execInsert(tx engine.Tx, st *InsertStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := encodeRow(t.Columns, st.Values)
+	img, err := t.encodeRow(st.Values)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +269,7 @@ func (s *Session) forEachMatch(tx engine.Tx, t *TableInfo, conds []Condition, fn
 			if err != nil {
 				return err
 			}
-			row, err := decodeRow(t.Columns, img)
+			row, err := t.decodeRow(img)
 			if err != nil {
 				return err
 			}
@@ -289,7 +289,7 @@ func (s *Session) forEachMatch(tx engine.Tx, t *TableInfo, conds []Condition, fn
 	}
 	var inner error
 	err := tx.Scan(t.ID, func(rid ts.RID, img []byte) bool {
-		row, err := decodeRow(t.Columns, img)
+		row, err := t.decodeRow(img)
 		if err != nil {
 			inner = err
 			return false
@@ -571,7 +571,7 @@ func (s *Session) execUpdate(tx engine.Tx, st *UpdateStmt) (*Result, error) {
 		for i, set := range st.Set {
 			m.row[setIdx[i]] = set.Value
 		}
-		img, err := encodeRow(t.Columns, m.row)
+		img, err := t.encodeRow(m.row)
 		if err != nil {
 			return nil, err
 		}
@@ -627,7 +627,7 @@ func (s *Session) createIndex(st *CreateIndexStmt) (*Result, error) {
 	}
 	err = s.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
 		return tx.Scan(t.ID, func(rid ts.RID, img []byte) bool {
-			if row, err := decodeRow(t.Columns, img); err == nil {
+			if row, err := t.decodeRow(img); err == nil {
 				ix.Add(row[ci], rid)
 			}
 			return true
