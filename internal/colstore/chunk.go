@@ -157,6 +157,55 @@ func NewChunkBuilder(schema Schema, baseRID ts.RID, slots, maxDict int) (*ChunkB
 	return b, nil
 }
 
+// Patch starts a builder seeded with a copy of the chunk's vectors, present
+// bitmap and dictionaries, so the migrator can re-settle only the slots
+// whose rows changed and seal the result as the chunk's next generation.
+// The sealed chunk itself is never modified. The copied dictionaries keep
+// entries no slot uses any more; maxDict (<=0 selects DefaultMaxDictSize)
+// bounds them as in NewChunkBuilder.
+func (c *Chunk) Patch(maxDict int) *ChunkBuilder {
+	if maxDict <= 0 {
+		maxDict = DefaultMaxDictSize
+	}
+	b := &ChunkBuilder{
+		schema:  c.schema,
+		baseRID: c.baseRID,
+		present: append([]bool(nil), c.present...),
+		rows:    c.rows,
+		maxDict: maxDict,
+		ints:    make(map[int]*chunkInts, len(c.ints)),
+		strs:    make(map[int]*builderStrings, len(c.strs)),
+	}
+	for col, ci := range c.ints {
+		b.ints[col] = &chunkInts{vals: append([]int64(nil), ci.vals...)}
+	}
+	for col, cs := range c.strs {
+		bs := &builderStrings{
+			// Capped, so the builder's appends never write into the sealed
+			// chunk's backing array.
+			dict:  cs.dict[:len(cs.dict):len(cs.dict)],
+			index: make(map[string]uint32, len(cs.dict)),
+			codes: append([]uint32(nil), cs.codes...),
+		}
+		for code, v := range cs.dict {
+			bs.index[v] = uint32(code)
+		}
+		b.strs[col] = bs
+	}
+	return b
+}
+
+// Clear marks rid's slot absent; a RID outside the builder's range is
+// ignored.
+func (b *ChunkBuilder) Clear(rid ts.RID) {
+	slot := int(rid - b.baseRID)
+	if rid < b.baseRID || slot >= len(b.present) || !b.present[slot] {
+		return
+	}
+	b.present[slot] = false
+	b.rows--
+}
+
 // Set places a settled row at its RID's slot. The dictionary bound is
 // checked per string column; on overflow the row is not placed and the
 // chunk must be built smaller (or the column left to the row path).

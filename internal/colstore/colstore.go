@@ -83,35 +83,55 @@ func EncodeRow(s Schema, row Row) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeRow parses a version payload back into cells.
+// DecodeRow parses a version payload back into cells. It is WalkRow with a
+// visitor that copies every cell out of the image.
 func DecodeRow(s Schema, b []byte) (Row, error) {
 	row := make(Row, len(s.Types))
+	if err := WalkRow(s, b, func(col int, v int64, str []byte) {
+		if s.Types[col] == String {
+			row[col].S = string(str)
+		} else {
+			row[col].I = v
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// WalkRow is the row-image decoder: it checks b against the schema and
+// calls visit once per column in schema order, with v set for an Int64
+// column and str for a String column. str aliases b, so a visitor that
+// keeps only the columns it needs decodes a row without allocating. A
+// malformed image stops the walk with an error, possibly after some
+// columns were visited, so callers must discard what they saw.
+func WalkRow(s Schema, b []byte, visit func(col int, v int64, str []byte)) error {
 	off := 0
 	for i, t := range s.Types {
 		switch t {
 		case Int64:
 			if off+8 > len(b) {
-				return nil, fmt.Errorf("colstore: truncated row at column %d", i)
+				return fmt.Errorf("colstore: truncated row at column %d", i)
 			}
-			row[i].I = int64(binary.LittleEndian.Uint64(b[off:]))
+			visit(i, int64(binary.LittleEndian.Uint64(b[off:])), nil)
 			off += 8
 		case String:
 			if off+4 > len(b) {
-				return nil, fmt.Errorf("colstore: truncated row at column %d", i)
+				return fmt.Errorf("colstore: truncated row at column %d", i)
 			}
 			n := int(binary.LittleEndian.Uint32(b[off:]))
 			off += 4
 			if n > len(b)-off {
-				return nil, fmt.Errorf("colstore: truncated string at column %d", i)
+				return fmt.Errorf("colstore: truncated string at column %d", i)
 			}
-			row[i].S = string(b[off : off+n])
+			visit(i, 0, b[off:off+n])
 			off += n
 		}
 	}
 	if off != len(b) {
-		return nil, fmt.Errorf("colstore: %d trailing bytes in row", len(b)-off)
+		return fmt.Errorf("colstore: %d trailing bytes in row", len(b)-off)
 	}
-	return row, nil
+	return nil
 }
 
 // Spec renders the schema as a compact string ("id:int,name:str"), the form

@@ -144,3 +144,50 @@ func FuzzParseSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWalkRowProjection is differential: a visitor that keeps only two
+// columns of an image, as the lane's row fallback does, must accept exactly
+// the images DecodeRow accepts, fail with the same error, and see the
+// same values DecodeRow returns for those columns.
+func FuzzWalkRowProjection(f *testing.F) {
+	for _, r := range []Row{{StrV("EMEA"), IntV(-42)}, {StrV(""), IntV(0)}} {
+		img, err := EncodeRow(salesSchema(), r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte{1, 0}, img, uint8(1), uint8(0))
+		f.Add([]byte{1, 0}, img[:len(img)-1], uint8(0), uint8(1))
+	}
+	f.Add([]byte{0, 1, 0}, []byte{7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'x', 9, 0, 0, 0, 0, 0, 0, 0}, uint8(2), uint8(1))
+	f.Add([]byte{}, []byte{}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, kinds, img []byte, arg, group uint8) {
+		s := fuzzSchema(kinds)
+		argCol, groupCol := -1, -1
+		if len(s.Types) > 0 {
+			argCol, groupCol = int(arg)%len(s.Types), int(group)%len(s.Types)
+		}
+		var got [2]Value
+		walkErr := WalkRow(s, img, func(col int, v int64, str []byte) {
+			for i, want := range [2]int{argCol, groupCol} {
+				if col == want {
+					got[i] = Value{I: v, S: string(str)}
+				}
+			}
+		})
+		row, decodeErr := DecodeRow(s, img)
+		if (walkErr == nil) != (decodeErr == nil) {
+			t.Fatalf("WalkRow err %v, DecodeRow err %v", walkErr, decodeErr)
+		}
+		if walkErr != nil {
+			if walkErr.Error() != decodeErr.Error() {
+				t.Fatalf("WalkRow err %q, DecodeRow err %q", walkErr, decodeErr)
+			}
+			return
+		}
+		for i, col := range [2]int{argCol, groupCol} {
+			if col >= 0 && got[i] != row[col] {
+				t.Fatalf("column %d: walker saw %+v, DecodeRow %+v", col, got[i], row[col])
+			}
+		}
+	})
+}

@@ -7,17 +7,18 @@ package htap
 //   - chunk vectors: present, clean slots of every chunk whose watermark is
 //     at or below the snapshot — served straight from the int vectors /
 //     dictionary codes, no row decoding;
-//   - dirty rows and row ranges the chunks do not speak for (slots above a
-//     chunk's builtThrough, chunks younger than the snapshot): ordinary
-//     MVCC row reads at the snapshot;
+//   - rows the chunk's dirty bitmap marks, and row ranges the chunks do not
+//     speak for (slots above a chunk's builtThrough, chunks younger than the
+//     snapshot): ordinary MVCC row reads at the snapshot, projected straight
+//     from the row image into the accumulators without allocating;
 //   - the delta tail beyond coveredHi: row reads.
 //
 // Chunk rows are correct for every registered snapshot TS >= watermark W
 // because only settled rows enter a chunk: a settled image was written by a
 // commit below the GC horizon at build time, and the horizon is <= every
 // registered snapshot's timestamp — so the image is exactly what any such
-// snapshot would read, and any later write re-routed the row through the
-// dirty set before the scan's snapshot was acquired.
+// snapshot would read, and any later write set the row's bit in the
+// chunk's bitmap before it became visible to the scan's snapshot.
 
 import (
 	"fmt"
@@ -212,57 +213,92 @@ func (c *cell) add(v int64) {
 	c.sum += v
 }
 
-// acc is one aggregate's accumulator state.
+// acc is one aggregate's accumulator state. Groups are keyed by the
+// group column's native type, so a row image's string group is looked up
+// straight from its bytes.
 type acc struct {
-	p      plan
-	scalar cell
-	cells  map[colstore.Value]*cell
-	order  []colstore.Value
+	p        plan
+	scalar   cell
+	intCells map[int64]*cell
+	strCells map[string]*cell
+	keys     []colstore.Value // first-seen order
+	cells    []*cell          // parallel to keys
 }
 
 func newAcc(p plan) *acc {
 	a := &acc{p: p}
-	if p.groupIdx >= 0 {
-		a.cells = make(map[colstore.Value]*cell)
+	if p.groupStr {
+		a.strCells = make(map[string]*cell)
+	} else if p.groupIdx >= 0 {
+		a.intCells = make(map[int64]*cell)
 	}
 	return a
 }
 
-func (a *acc) cellFor(key colstore.Value) *cell {
-	c := a.cells[key]
+func (a *acc) newCell(key colstore.Value) *cell {
+	c := &cell{}
+	a.keys = append(a.keys, key)
+	a.cells = append(a.cells, c)
+	return c
+}
+
+func (a *acc) intCell(key int64) *cell {
+	c := a.intCells[key]
 	if c == nil {
-		c = &cell{}
-		a.cells[key] = c
-		a.order = append(a.order, key)
+		c = a.newCell(colstore.IntV(key))
+		a.intCells[key] = c
 	}
 	return c
 }
 
-// addRow accumulates one decoded row.
-func (a *acc) addRow(row colstore.Row) {
-	c := &a.scalar
-	if a.p.groupIdx >= 0 {
-		key := row[a.p.groupIdx]
-		if a.p.groupStr {
-			key = colstore.StrV(key.S)
-		} else {
-			key = colstore.IntV(key.I)
-		}
-		c = a.cellFor(key)
+func (a *acc) strCell(key string) *cell {
+	c := a.strCells[key]
+	if c == nil {
+		c = a.newCell(colstore.StrV(key))
+		a.strCells[key] = c
 	}
-	var v int64
-	if a.p.colIdx >= 0 {
-		v = row[a.p.colIdx].I
-	}
-	c.add(v)
+	return c
 }
 
-// scanChunk aggregates slots [firstSlot, lastSlot] of one chunk from its
-// vectors. Column slices and (for a string GROUP BY) a code→cell cache are
-// hoisted out of the loop, so the hot path is array indexing plus one
-// branch on the dirty set. Dirty rows are routed through rowFn; the return
-// value is the number of rows served from vectors.
-func (a *acc) scanChunk(ch *colstore.Chunk, firstSlot, lastSlot int, dirty map[ts.RID]struct{}, rowFn func(ts.RID)) int64 {
+// addImage accumulates one row image, pulling only the plan's argument and
+// group columns out of it. A malformed image accumulates nothing.
+func (a *acc) addImage(schema colstore.Schema, img []byte) error {
+	var v, gi int64
+	var gs []byte
+	if err := colstore.WalkRow(schema, img, func(col int, i int64, str []byte) {
+		if col == a.p.colIdx {
+			v = i
+		}
+		if col == a.p.groupIdx {
+			gi, gs = i, str
+		}
+	}); err != nil {
+		return err
+	}
+	c := &a.scalar
+	switch {
+	case a.p.groupIdx < 0:
+	case a.p.groupStr:
+		// Indexing with string(gs) does not allocate; only a group's first
+		// row copies its key.
+		if c = a.strCells[string(gs)]; c == nil {
+			c = a.strCell(string(gs))
+		}
+	default:
+		c = a.intCell(gi)
+	}
+	c.add(v)
+	return nil
+}
+
+// scanChunk aggregates slots [firstSlot, lastSlot] of one chunk generation
+// from its vectors. Column slices and (for a string GROUP BY) a code→cell
+// cache are hoisted out of the loop, and the generation's dirty bitmap is
+// read one word per 64 slots, so the hot path is array indexing plus one
+// bit test. Dirty rows are routed through rowFn; the return value is the
+// number of rows served from vectors.
+func (a *acc) scanChunk(lc laneChunk, firstSlot, lastSlot int, rowFn func(ts.RID)) int64 {
+	ch := lc.chunk
 	base := ch.BaseRID()
 	var vals []int64
 	if a.p.colIdx >= 0 {
@@ -276,39 +312,41 @@ func (a *acc) scanChunk(ch *colstore.Chunk, firstSlot, lastSlot int, dirty map[t
 			var dict []string
 			gCodes, dict = ch.Strings(a.p.groupIdx)
 			dictCells = make([]*cell, len(dict))
-			for code := range dict {
-				dictCells[code] = a.cellFor(colstore.StrV(dict[code]))
+			for code, key := range dict {
+				dictCells[code] = a.strCell(key)
 			}
 		} else {
 			gInts = ch.Int64s(a.p.groupIdx)
 		}
 	}
 	served := int64(0)
-	for slot := firstSlot; slot <= lastSlot; slot++ {
-		if dirty != nil {
-			if _, d := dirty[base+ts.RID(slot)]; d {
+	for slot := firstSlot; slot <= lastSlot; {
+		wordEnd := min(slot|63, lastSlot)
+		dirty := lc.dirty.word(slot >> 6)
+		for ; slot <= wordEnd; slot++ {
+			if dirty&(1<<(slot&63)) != 0 {
 				rowFn(base + ts.RID(slot))
 				continue
 			}
+			if !ch.Present(slot) {
+				continue
+			}
+			var c *cell
+			switch {
+			case a.p.groupIdx < 0:
+				c = &a.scalar
+			case a.p.groupStr:
+				c = dictCells[gCodes[slot]]
+			default:
+				c = a.intCell(gInts[slot])
+			}
+			var v int64
+			if vals != nil {
+				v = vals[slot]
+			}
+			c.add(v)
+			served++
 		}
-		if !ch.Present(slot) {
-			continue
-		}
-		var c *cell
-		switch {
-		case a.p.groupIdx < 0:
-			c = &a.scalar
-		case a.p.groupStr:
-			c = dictCells[gCodes[slot]]
-		default:
-			c = a.cellFor(colstore.IntV(gInts[slot]))
-		}
-		var v int64
-		if vals != nil {
-			v = vals[slot]
-		}
-		c.add(v)
-		served++
 	}
 	return served
 }
@@ -322,9 +360,9 @@ func (a *acc) groups() []Group {
 		s := a.scalar
 		return []Group{{Count: s.count, Sum: s.sum, Min: s.min, Max: s.max}}
 	}
-	out := make([]Group, 0, len(a.order))
-	for _, key := range a.order {
-		c := a.cells[key]
+	out := make([]Group, 0, len(a.keys))
+	for i, key := range a.keys {
+		c := a.cells[i]
 		if c.count == 0 {
 			continue
 		}
@@ -359,12 +397,9 @@ func (s *Store) aggregateAt(l *Lane, p plan, op AggOp, at ts.CID) (*AggResult, e
 	if err != nil {
 		return nil, err
 	}
-	// The dirty set and the chunk list must come from the same side of a
-	// chunk swap. A pass flags every row it leaves absent (still versioned,
-	// undecodable) before its swap and clears flags only after it, so old
-	// chunks need the flags from before the clears and new chunks need the
-	// flags the build set. scanView copies both under the chunk lock.
-	dirty, chunks := l.scanView()
+	// Each chunk generation carries its own dirty bitmap, so the chunks and
+	// the bits that vouch for them come from one load.
+	chunks := l.loadChunks()
 	covered := ts.RID(l.coveredHi.Load())
 
 	a := newAcc(p)
@@ -375,14 +410,12 @@ func (s *Store) aggregateAt(l *Lane, p plan, op AggOp, at ts.CID) (*AggResult, e
 		if !ok {
 			return
 		}
-		row, err := colstore.DecodeRow(l.schema, img)
-		if err != nil {
+		if err := a.addImage(l.schema, img); err != nil {
 			if decodeErr == nil {
 				decodeErr = fmt.Errorf("htap: row %d does not match lane schema %q: %w", rid, l.schema.Spec(), err)
 			}
 			return
 		}
-		a.addRow(row)
 		res.RowRows++
 	}
 	rowRange := func(lo, hi ts.RID) {
@@ -411,7 +444,7 @@ func (s *Store) aggregateAt(l *Lane, p plan, op AggOp, at ts.CID) (*AggResult, e
 			// commits the snapshot must not see. Row-read the whole range.
 			rowRange(pos, hi)
 		} else {
-			res.ChunkRows += a.scanChunk(ch, int(pos-base), int(hi-base), dirty, rowOne)
+			res.ChunkRows += a.scanChunk(lc, int(pos-base), int(hi-base), rowOne)
 		}
 		pos = hi + 1
 	}

@@ -10,14 +10,15 @@
 // keeps writing row versions; the lane turns the settled tail of each table
 // into columnar main storage; OLAP aggregates run over the vectors at
 // memory speed while the un-migrated delta tail and any row the chunks no
-// longer speak for (the dirty set) go through ordinary snapshot reads.
+// longer speak for (its chunk's dirty bit is set) go through ordinary
+// snapshot reads.
 //
 // The consistency contract, per table:
 //
-//   - Every chunk is stamped with a watermark W, the timestamp of a
-//     statement snapshot the migrator REGISTERED and held for the whole
-//     build. Registration pins the garbage-collection horizon at or below
-//     W, so nothing the build reads is reshaped underneath it.
+//   - Every chunk generation is stamped with a watermark W, the timestamp
+//     of a statement snapshot the migrator REGISTERED and held for the
+//     whole pass. Registration pins the garbage-collection horizon at or
+//     below W, so nothing the pass reads is reshaped underneath it.
 //   - Only settled rows enter a chunk: a row that still has a version chain
 //     is skipped and marked dirty, because some registered snapshot may
 //     still need an older (or not-yet-committed newer) version — the
@@ -25,15 +26,24 @@
 //     need. This is the visibility guard; htap_test.go proves both
 //     directions (guard on: pinned cursors block migration; guard
 //     reverted: a scan observes a wrong aggregate).
-//   - A write observer on the table space keeps a sticky per-RID dirty set:
-//     any mutation of a chunk-covered row (new version, GC settle, drop)
-//     dirties it, and dirty rows are served by row reads until a later
-//     rebuild re-settles them. The observer bound (coverTarget) is
-//     published BEFORE the build reads anything, closing the race with
-//     concurrent writers.
+//   - Each chunk generation owns a dirty bitmap. A write observer on the
+//     table space sets a row's bit, under the chain latch and before the
+//     write is visible to any snapshot, on any mutation of a chunk-covered
+//     row (new version, GC settle, drop); dirty rows are served by row
+//     reads. Bits are never cleared: a pass patches a dirty chunk into a
+//     new generation with a fresh bitmap, re-settling only the dirty slots
+//     and the slots above what the last pass built, and copying the rest.
+//   - A pass links each new bitmap behind the old one and publishes the
+//     observer bound (coverTarget) BEFORE it reads anything. The observer
+//     marks a slot in the current generation and then in every successor,
+//     so a write that lands between a pass's read of a row and its swap
+//     stays dirty in the new generation.
 //   - A scan at snapshot TS serves a chunk's present, clean slots from the
 //     vectors iff TS >= the chunk's watermark; otherwise (a snapshot older
-//     than the chunk) the whole range falls back to row reads.
+//     than the chunk) the whole range falls back to row reads. A patched
+//     chunk takes the new pass's watermark: a clean slot has had no write
+//     since a build read its settled image, so every snapshot at or above
+//     the old watermark still sees that image.
 //
 // Chunks are never persisted. Lane enablement is one WAL record
 // (wal.KindHTAPLane, re-logged by checkpoints); after recovery the lane
@@ -44,6 +54,7 @@ package htap
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,43 +93,90 @@ func (c *Config) fill() {
 	}
 }
 
-// laneChunk is one sealed chunk plus the RID the build actually considered
-// rows through: slots above builtThrough existed as range but not as rows
-// at build time, and the executor row-reads them until a rebuild extends
-// the chunk.
+// laneChunk is one generation of one chunk: the sealed vectors, the RID the
+// build actually considered rows through (slots above builtThrough existed
+// as range but not as rows at build time, and the executor row-reads them
+// until a later pass extends the chunk), and the generation's dirty
+// bitmap. A chunk and its bitmap are swapped in together, so a scan that
+// loaded a generation tests exactly the bits that vouch for its vectors.
 type laneChunk struct {
 	chunk        *colstore.Chunk
 	builtThrough ts.RID
+	dirty        *dirtyBits
+}
+
+// dirtyBits is one chunk generation's dirty bitmap: bit s set means slot s's
+// vector value can no longer be trusted and scans row-read it. Bits are
+// only ever set. next is the bitmap of the generation a migrator pass is
+// building from this one; the write observer marks a slot here and then in
+// every successor, so a write that lands during a build stays dirty after
+// the swap.
+type dirtyBits struct {
+	words []atomic.Uint64
+	next  atomic.Pointer[dirtyBits]
+}
+
+func newDirtyBits(slots int) *dirtyBits {
+	return &dirtyBits{words: make([]atomic.Uint64, (slots+63)/64)}
+}
+
+// set marks one slot. A CAS loop, because atomic.Uint64.Or needs Go 1.23.
+func (d *dirtyBits) set(slot int) {
+	w := &d.words[slot>>6]
+	bit := uint64(1) << (slot & 63)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// mark sets slot here, then follows next. Each next load comes after this
+// bitmap's CAS, so if a pass's copy of this bitmap missed the bit, the load
+// sees the successor the pass published before copying.
+func (d *dirtyBits) mark(slot int) {
+	for ; d != nil; d = d.next.Load() {
+		d.set(slot)
+	}
+}
+
+// word loads word i (slots 64i..64i+63).
+func (d *dirtyBits) word(i int) uint64 { return d.words[i].Load() }
+
+// count returns the number of set bits.
+func (d *dirtyBits) count() int {
+	n := 0
+	for i := range d.words {
+		n += bits.OnesCount64(d.word(i))
+	}
+	return n
 }
 
 // Lane is one table's column lane.
 type Lane struct {
 	tid    ts.TableID
 	schema colstore.Schema
+	slots  int
 
 	// coverTarget is the observer bound: writes to RIDs <= coverTarget mark
-	// the dirty set. Published at the START of a migrator pass, before any
-	// row is read, so a concurrent writer cannot slip a mutation between
-	// the build's read and the chunk swap unobserved. Fresh inserts (RID
-	// beyond it) are skipped with one atomic load — the OLTP fast path.
+	// the dirty bitmaps. Published at the START of a migrator pass, after
+	// the pass has published every bitmap it will build and before any row
+	// is read, so a concurrent writer cannot slip a mutation between the
+	// build's read and the chunk swap unobserved. Fresh inserts (RID beyond
+	// it) are skipped with one atomic load — the OLTP fast path.
 	coverTarget atomic.Uint64
 	// coveredHi is the RID range chunks authoritatively cover, advanced at
-	// the END of a completed pass. rid <= coveredHi: chunk slot (or dirty /
+	// the END of a completed pass. rid <= coveredHi: chunk slot (or dirty
 	// row fallback); rid > coveredHi: delta tail, always row-read.
 	coveredHi atomic.Uint64
 
-	mu     sync.RWMutex // guards chunks (swapped whole on rebuild)
-	chunks []laneChunk
-
-	// dirty maps a chunk-covered RID whose chunk value can no longer be
-	// trusted to a monotonically increasing stamp. The stamp lets the
-	// migrator clear a flag only if no write arrived after it read the row:
-	// clears happen strictly AFTER the chunk swap, so a scan that copies
-	// the dirty set before the chunk list can never pair an old chunk with
-	// a shrunken dirty set (the stale-read race the stamp protocol closes).
-	dirtyMu  sync.Mutex
-	dirty    map[ts.RID]uint64
-	dirtyCtr uint64
+	// chunks is the current generation of every chunk, swapped whole. The
+	// write observer and scans load it without a lock.
+	chunks atomic.Pointer[[]laneChunk]
+	// passMu serializes migrator passes: each generation is patched at most
+	// once, by the pass that links its successor bitmap.
+	passMu sync.Mutex
 
 	// Counters surfaced through LaneStats.
 	migratedRows  atomic.Int64
@@ -128,68 +186,26 @@ type Lane struct {
 	decodeErrors  atomic.Int64
 }
 
-// markDirty is the write-observer slow path: the row is chunk-covered (or
-// about to be), so its chunk value can no longer be trusted. Each mark
-// bumps the stamp so an in-flight migrator pass cannot clear the flag for
-// a write it did not read.
-func (l *Lane) markDirty(rid ts.RID) {
-	l.dirtyMu.Lock()
-	l.dirtyCtr++
-	l.dirty[rid] = l.dirtyCtr
-	l.dirtyMu.Unlock()
-}
-
-// dirtyStamp returns rid's current stamp (0: clean).
-func (l *Lane) dirtyStamp(rid ts.RID) uint64 {
-	l.dirtyMu.Lock()
-	s := l.dirty[rid]
-	l.dirtyMu.Unlock()
-	return s
-}
-
-// clearIfStamp clears rid's dirty flag iff no write stamped it since the
-// migrator read the row. Called only after the chunk swap.
-func (l *Lane) clearIfStamp(rid ts.RID, stamp uint64) {
-	l.dirtyMu.Lock()
-	if l.dirty[rid] == stamp {
-		delete(l.dirty, rid)
+// loadChunks returns the current chunk generations.
+func (l *Lane) loadChunks() []laneChunk {
+	if p := l.chunks.Load(); p != nil {
+		return *p
 	}
-	l.dirtyMu.Unlock()
+	return nil
 }
 
-// dirtySnapshot copies the dirty set for one scan.
-func (l *Lane) dirtySnapshot() map[ts.RID]struct{} {
-	l.dirtyMu.Lock()
-	defer l.dirtyMu.Unlock()
-	if len(l.dirty) == 0 {
-		return nil
+// observe is the write observer: a mutation of a chunk-covered row marks
+// its slot in the current generation's bitmap and in any successor a pass
+// is building. It runs under the version-chain latch, before the write is
+// visible to any snapshot.
+func (l *Lane) observe(rid ts.RID) {
+	if uint64(rid) > l.coverTarget.Load() {
+		return
 	}
-	out := make(map[ts.RID]struct{}, len(l.dirty))
-	for rid := range l.dirty {
-		out[rid] = struct{}{}
+	i := int((rid - 1) / ts.RID(l.slots))
+	if cs := l.loadChunks(); i < len(cs) {
+		cs[i].dirty.mark(int(rid-1) % l.slots)
 	}
-	return out
-}
-
-func (l *Lane) dirtyLen() int {
-	l.dirtyMu.Lock()
-	defer l.dirtyMu.Unlock()
-	return len(l.dirty)
-}
-
-// snapshotChunks returns the current sealed chunk list.
-func (l *Lane) snapshotChunks() []laneChunk {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.chunks
-}
-
-// scanView copies the dirty set and returns the chunk list as one pair: no
-// chunk swap falls between the two reads.
-func (l *Lane) scanView() (map[ts.RID]struct{}, []laneChunk) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.dirtySnapshot(), l.chunks
 }
 
 // Store runs the column lane over one engine instance (one shard). Lanes
@@ -210,6 +226,13 @@ type Store struct {
 	// with it on, a version still visible to a registered snapshot can be
 	// migrated over, which is exactly the bug the guard exists to prevent.
 	guardOff atomic.Bool
+	// maxDict bounds each chunk column's string dictionary (0 selects
+	// colstore.DefaultMaxDictSize); tests lower it to force overflows.
+	maxDict int
+	// beforeSwap, when set, runs after a pass has read every row it settles
+	// and before it swaps the new chunk generations in. Tests use it to land
+	// a write in that window.
+	beforeSwap func()
 }
 
 // NewStore builds a lane store over db and re-enables every lane the
@@ -249,15 +272,11 @@ func (s *Store) EnableTable(tid ts.TableID, schema colstore.Schema) error {
 		}
 		return nil
 	}
-	lane := &Lane{tid: tid, schema: schema, dirty: make(map[ts.RID]uint64)}
+	lane := &Lane{tid: tid, schema: schema, slots: s.cfg.ChunkSlots}
 	s.lanes[tid] = lane
 	s.mu.Unlock()
 
-	if err := s.db.ObserveTableWrites(tid, func(rid ts.RID) {
-		if uint64(rid) <= lane.coverTarget.Load() {
-			lane.markDirty(rid)
-		}
-	}); err != nil {
+	if err := s.db.ObserveTableWrites(tid, lane.observe); err != nil {
 		s.mu.Lock()
 		delete(s.lanes, tid)
 		s.mu.Unlock()
@@ -344,18 +363,56 @@ func (s *Store) Migrate() int {
 	return total
 }
 
-// migrateLane runs one pass for one lane: publish the observer bound,
-// register the build snapshot (the watermark), build or rebuild every chunk
-// that needs it, swap, advance coveredHi.
+// migrateLane runs one pass for one lane: decide which chunks need work,
+// publish their successor bitmaps and the observer bound, register the
+// build snapshot (the watermark), patch each chunk, swap, advance
+// coveredHi. A chunk needs work when its bitmap has a dirty slot or the
+// table grew into its range; every other chunk is kept as it is.
 func (s *Store) migrateLane(l *Lane) int {
+	l.passMu.Lock()
+	defer l.passMu.Unlock()
 	maxRID, err := s.db.TableMaxRID(l.tid)
 	if err != nil || maxRID == 0 {
 		return 0
 	}
-	// Publish the observer bound before reading anything: from here on,
-	// every mutation of a row the pass may read lands in the dirty set.
+	slots := ts.RID(l.slots)
+	nChunks := int((maxRID + slots - 1) / slots)
+	cur := l.loadChunks()
+	if nChunks > len(cur) {
+		// A range the lane has never covered gets an empty seed generation
+		// first: the observer finds every covered RID's bitmap in the chunk
+		// list, and a fresh chunk is then patched like any other.
+		grown := append(cur[:len(cur):len(cur)], make([]laneChunk, nChunks-len(cur))...)
+		for i := len(cur); i < nChunks; i++ {
+			seed, err := s.seed(l, ts.RID(i)*slots+1, newDirtyBits(l.slots))
+			if err != nil {
+				return 0 // cannot happen with a validated schema
+			}
+			grown[i] = seed
+		}
+		l.chunks.Store(&grown)
+		cur = grown
+	}
+
+	// Publish every successor bitmap, then the observer bound, before
+	// reading anything: from here on, every mutation of a row the pass may
+	// read lands in the bitmap of the generation being built.
+	next := make([]*dirtyBits, len(cur))
+	work := false
+	for i, lc := range cur {
+		if lc.builtThrough >= chunkEnd(i, slots, maxRID) && lc.dirty.count() == 0 {
+			continue
+		}
+		next[i] = newDirtyBits(l.slots)
+		lc.dirty.next.Store(next[i])
+		work = true
+	}
 	if cur := l.coverTarget.Load(); cur < uint64(maxRID) {
 		l.coverTarget.Store(uint64(maxRID))
+	}
+	l.passes.Add(1)
+	if !work {
+		return 0
 	}
 
 	// The build snapshot. Registering it pins this table's GC horizon at or
@@ -366,139 +423,129 @@ func (s *Store) migrateLane(l *Lane) int {
 	defer snap.Release()
 	w := snap.TS()
 
-	old := l.snapshotChunks()
-	slots := ts.RID(s.cfg.ChunkSlots)
-	nChunks := int((maxRID + slots - 1) / slots)
-
-	// Bucket the dirty set by chunk index to decide rebuilds cheaply.
-	dirtyByChunk := make(map[int]int)
-	l.dirtyMu.Lock()
-	for rid := range l.dirty {
-		dirtyByChunk[int((rid-1)/slots)]++
-	}
-	l.dirtyMu.Unlock()
-
-	next := make([]laneChunk, nChunks)
+	built := append([]laneChunk(nil), cur...)
 	migrated := 0
-	changed := false
-	var clears []ridStamp
-	for i := 0; i < nChunks; i++ {
-		base := ts.RID(i)*slots + 1
-		end := base + slots - 1
-		if end > maxRID {
-			end = maxRID
-		}
-		if i < len(old) {
-			lc := old[i]
-			// Keep a sealed chunk as-is unless it has dirty rows to
-			// re-settle or the table grew into its range.
-			if dirtyByChunk[i] == 0 && lc.builtThrough >= end {
-				next[i] = lc
-				continue
-			}
-		}
-		lc, n, cl := s.buildChunk(l, base, end, w)
-		if lc.chunk == nil {
-			// Builder setup failed (cannot happen with a validated schema);
-			// leave the range to the row path.
-			if i < len(old) {
-				next[i] = old[i]
-			}
+	for i, nb := range next {
+		if nb == nil {
 			continue
 		}
-		next[i] = lc
+		lc, n := s.patch(l, cur[i], nb, chunkEnd(i, slots, maxRID), w)
+		built[i] = lc
 		migrated += n
-		clears = append(clears, cl...)
-		changed = true
 		l.rebuilds.Add(1)
 	}
-
-	l.passes.Add(1)
-	if !changed && uint64(maxRID) <= l.coveredHi.Load() {
-		return 0
+	if s.beforeSwap != nil {
+		s.beforeSwap()
 	}
-	l.mu.Lock()
-	l.chunks = next
-	l.mu.Unlock()
+	l.chunks.Store(&built)
 	l.coveredHi.Store(uint64(maxRID))
-	// Only now — after the swap — may dirty flags fall, and only for rows
-	// no write stamped since the build read them. A scan that copied the
-	// dirty set before this point pairs it with the old chunks (row path:
-	// always correct); one that copies it after sees the new chunks.
-	for _, c := range clears {
-		l.clearIfStamp(c.rid, c.stamp)
-	}
 	l.migratedRows.Add(int64(migrated))
 	return migrated
 }
 
-// ridStamp is a deferred dirty-clear: rid may be cleaned iff its stamp is
-// still the one the build observed.
-type ridStamp struct {
-	rid   ts.RID
-	stamp uint64
+// chunkEnd is the last RID of chunk i that exists when the table's highest
+// RID is maxRID.
+func chunkEnd(i int, slots, maxRID ts.RID) ts.RID {
+	if end := ts.RID(i+1) * slots; end < maxRID {
+		return end
+	}
+	return maxRID
 }
 
-// buildChunk settles one RID range into a fresh chunk at watermark w,
-// returning it, the number of rows placed, and the deferred dirty-clears
-// the caller applies after the swap.
-func (s *Store) buildChunk(l *Lane, base, end ts.RID, w ts.CID) (laneChunk, int, []ridStamp) {
-	b, err := colstore.NewChunkBuilder(l.schema, base, s.cfg.ChunkSlots, colstore.DefaultMaxDictSize)
+// seed returns an empty generation for the chunk starting at base, with
+// dirty as its bitmap: no row settled, nothing built.
+func (s *Store) seed(l *Lane, base ts.RID, dirty *dirtyBits) (laneChunk, error) {
+	b, err := colstore.NewChunkBuilder(l.schema, base, l.slots, s.maxDict)
 	if err != nil {
-		return laneChunk{}, 0, nil
+		return laneChunk{}, err
 	}
+	return laneChunk{chunk: b.Seal(0), builtThrough: base - 1, dirty: dirty}, nil
+}
+
+// patch builds the generation after old at watermark w, whose bitmap next
+// is already linked behind old's. It starts from a copy of old's vectors,
+// present bitmap and dictionary and re-settles only the slots old's bitmap
+// marks dirty plus the slots above old.builtThrough, up to end. It returns
+// the new generation and the number of rows it settled.
+//
+// A clean slot keeps its value under the new watermark: no write has
+// touched the row since a build read its settled image, so every snapshot
+// at or above the old watermark — and so at or above w — still sees that
+// image. If a string dictionary overflows, the chunk is re-seeded empty
+// (which drops the entries no slot uses any more) and settled afresh.
+func (s *Store) patch(l *Lane, old laneChunk, next *dirtyBits, end ts.RID, w ts.CID) (laneChunk, int) {
+	base := old.chunk.BaseRID()
+	// The slots to re-settle: old's dirty bits, copied only now that next
+	// is published, plus every slot above builtThrough.
+	todo := make([]uint64, len(next.words))
+	for i := range todo {
+		todo[i] = old.dirty.word(i)
+	}
+	for rid := old.builtThrough + 1; rid <= end; rid++ {
+		slot := int(rid - base)
+		todo[slot>>6] |= 1 << (slot & 63)
+	}
+	b := old.chunk.Patch(s.maxDict)
 	placed := 0
-	var clears []ridStamp
-	for rid := base; rid <= end; rid++ {
-		// Record the dirty stamp BEFORE reading the row: a write landing
-		// after the read bumps the stamp, and the deferred clear backs off.
-		stamp := l.dirtyStamp(rid)
-		img, versioned, ok := s.db.RecordState(l.tid, rid)
-		if !ok {
-			// Hole or dropped row: the chunk slot is authoritatively absent.
-			if stamp != 0 {
-				clears = append(clears, ridStamp{rid, stamp})
-			}
-			continue
-		}
-		if versioned {
-			// THE VISIBILITY GUARD. The row still has a version chain: its
-			// table-space image is not the final word — a registered
-			// snapshot (a pinned cursor, an old transaction) may still need
-			// a chain version, or the chain may hold a newer version this
-			// build's watermark must not leak past. Leave the row to the
-			// MVCC row path and let a later pass migrate it once the
-			// garbage collector has settled the chain below the horizon.
-			if !s.guardOff.Load() {
-				l.markDirty(rid)
-				continue
-			}
-			// Guard reverted (test-only): migrate whatever is visible at
-			// the build watermark and pretend the row is settled.
-			img, ok = s.db.ReadAt(l.tid, rid, w)
+	for wi, word := range todo {
+		for ; word != 0; word &= word - 1 {
+			slot := wi<<6 + bits.TrailingZeros64(word)
+			rid := base + ts.RID(slot)
+			img, versioned, ok := s.db.RecordState(l.tid, rid)
 			if !ok {
+				// Hole or dropped row: the chunk slot is authoritatively absent.
+				b.Clear(rid)
 				continue
 			}
-		}
-		row, err := colstore.DecodeRow(l.schema, img)
-		if err != nil {
-			l.decodeErrors.Add(1)
-			l.markDirty(rid)
-			continue
-		}
-		if err := b.Set(rid, row); err != nil {
-			if errors.Is(err, colstore.ErrDictOverflow) {
-				l.dictOverflows.Add(1)
+			if versioned {
+				// THE VISIBILITY GUARD. The row still has a version chain: its
+				// table-space image is not the final word — a registered
+				// snapshot (a pinned cursor, an old transaction) may still need
+				// a chain version, or the chain may hold a newer version this
+				// build's watermark must not leak past. Leave the row to the
+				// MVCC row path and let a later pass migrate it once the
+				// garbage collector has settled the chain below the horizon.
+				if !s.guardOff.Load() {
+					b.Clear(rid)
+					next.set(slot)
+					continue
+				}
+				// Guard reverted (test-only): migrate whatever is visible at
+				// the build watermark and pretend the row is settled.
+				img, ok = s.db.ReadAt(l.tid, rid, w)
+				if !ok {
+					b.Clear(rid)
+					continue
+				}
 			}
-			l.markDirty(rid)
-			continue
-		}
-		placed++
-		if stamp != 0 {
-			clears = append(clears, ridStamp{rid, stamp})
+			row, err := colstore.DecodeRow(l.schema, img)
+			if err != nil {
+				l.decodeErrors.Add(1)
+				b.Clear(rid)
+				next.set(slot)
+				continue
+			}
+			if err := b.Set(rid, row); err != nil {
+				if errors.Is(err, colstore.ErrDictOverflow) {
+					l.dictOverflows.Add(1)
+					if old.builtThrough >= base {
+						// Re-seed empty under next, with a fresh successor
+						// linked behind it before any row is read again.
+						if seed, err := s.seed(l, base, next); err == nil {
+							again := newDirtyBits(l.slots)
+							next.next.Store(again)
+							return s.patch(l, seed, again, end, w)
+						}
+					}
+				}
+				b.Clear(rid)
+				next.set(slot)
+				continue
+			}
+			placed++
 		}
 	}
-	return laneChunk{chunk: b.Seal(w), builtThrough: end}, placed, clears
+	return laneChunk{chunk: b.Seal(w), builtThrough: end, dirty: next}, placed
 }
 
 // LaneStats is a point-in-time view of one lane.
@@ -511,15 +558,16 @@ type LaneStats struct {
 	// is the un-migrated tail beyond it (MaxRID - CoveredRID).
 	CoveredRID ts.RID
 	DeltaRows  int64
-	// DirtyRows is the sticky dirty set size — chunk-covered rows currently
-	// served by the row path.
+	// DirtyRows counts the set bits of the current chunk generations —
+	// chunk-covered rows currently served by the row path.
 	DirtyRows int64
 	// Watermark is the oldest chunk watermark; Lag is the current commit
 	// timestamp minus it — how far the columnar image trails the log.
 	Watermark ts.CID
 	Lag       ts.CID
-	// MigratedRows counts rows ever placed into chunks; Rebuilds counts
-	// chunk (re)builds; Passes counts migrator passes.
+	// MigratedRows counts rows ever settled into chunks (a row re-settled
+	// after a write counts again); Rebuilds counts chunk patches, a fresh
+	// chunk's first build included; Passes counts migrator passes.
 	MigratedRows  int64
 	Rebuilds      int64
 	Passes        int64
@@ -539,14 +587,17 @@ func (s *Store) Stats() []LaneStats {
 		st := LaneStats{
 			Table:         tid,
 			CoveredRID:    ts.RID(l.coveredHi.Load()),
-			DirtyRows:     int64(l.dirtyLen()),
 			MigratedRows:  l.migratedRows.Load(),
 			Rebuilds:      l.rebuilds.Load(),
 			Passes:        l.passes.Load(),
 			DictOverflows: l.dictOverflows.Load(),
 			DecodeErrors:  l.decodeErrors.Load(),
 		}
-		for _, lc := range l.snapshotChunks() {
+		for _, lc := range l.loadChunks() {
+			st.DirtyRows += int64(lc.dirty.count())
+			if lc.builtThrough < lc.chunk.BaseRID() {
+				continue // an empty seed a pass is still building
+			}
 			st.Chunks++
 			st.ChunkRows += int64(lc.chunk.Rows())
 			if w := lc.chunk.Watermark(); st.Watermark == 0 || w < st.Watermark {

@@ -2,6 +2,7 @@ package htap
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -735,4 +736,193 @@ func TestRowColumnSeparationUnderTG(t *testing.T) {
 	if sum, _ := scalar(t, st, facts, AggSpec{Op: AggSum, Col: "amount"}); sum != n*20 {
 		t.Fatalf("fresh SUM = %d, want %d", sum, n*20)
 	}
+}
+
+// TestWriteDuringPassStaysDirty lands a write between a pass's read of a
+// row and its chunk swap. The observer marks the row in the generation the
+// pass is building, so after the swap the row is still dirty and the scan
+// reads the new value through the row path instead of the vector.
+func TestWriteDuringPassStaysDirty(t *testing.T) {
+	db := openTest(t, core.Config{})
+	tid, err := db.CreateTable("FACTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, db)
+	if err := st.EnableTable(tid, laneSchema); err != nil {
+		t.Fatal(err)
+	}
+	rids := make([]ts.RID, 8)
+	for i := range rids {
+		rids[i] = insertRow(t, db, tid, 10, "x")
+	}
+	db.GC().Collect()
+	st.Migrate()
+
+	updateRow(t, db, tid, rids[0], 20, "x")
+	db.GC().Collect() // settled: the next pass re-reads the row and places 20
+	st.beforeSwap = func() {
+		st.beforeSwap = nil
+		updateRow(t, db, tid, rids[0], 30, "x")
+	}
+	if got := st.Migrate(); got != 1 {
+		t.Fatalf("Migrate re-settled %d rows, want 1", got)
+	}
+	if d := st.Stats()[0].DirtyRows; d != 1 {
+		t.Fatalf("DirtyRows = %d after a write during the pass, want 1", d)
+	}
+	sum, res := scalar(t, st, tid, AggSpec{Op: AggSum, Col: "amount"})
+	if sum != 7*10+30 {
+		t.Fatalf("SUM = %d, want %d (the chunk's 20 must not be served)", sum, 7*10+30)
+	}
+	if res.RowRows != 1 {
+		t.Fatalf("row path served %d rows, want the 1 written during the pass", res.RowRows)
+	}
+
+	db.GC().Collect()
+	st.Migrate()
+	if sum, res := scalar(t, st, tid, AggSpec{Op: AggSum, Col: "amount"}); sum != 7*10+30 || res.RowRows != 0 {
+		t.Fatalf("after re-settling: SUM = %d with %d row reads, want %d from vectors", sum, res.RowRows, 7*10+30)
+	}
+}
+
+// TestPatchedChunkOlderSnapshotRowReads checks that a patched chunk takes
+// the new pass's watermark: a pinned snapshot older than the patch must
+// row-read the chunk's whole range, while a fresh scan serves the clean
+// slots from the vectors.
+func TestPatchedChunkOlderSnapshotRowReads(t *testing.T) {
+	db := openTest(t, core.Config{})
+	tid, err := db.CreateTable("FACTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, db)
+	if err := st.EnableTable(tid, laneSchema); err != nil {
+		t.Fatal(err)
+	}
+	rids := make([]ts.RID, 8)
+	for i := range rids {
+		rids[i] = insertRow(t, db, tid, 10, "x")
+	}
+	db.GC().Collect()
+	st.Migrate()
+
+	cursor := db.Manager().AcquireSnapshot(txn.KindCursor, []ts.TableID{tid})
+	defer cursor.Release()
+	updateRow(t, db, tid, rids[0], 20, "x")
+	before := st.Stats()[0].Rebuilds
+	st.Migrate()
+	if after := st.Stats()[0].Rebuilds; after != before+1 {
+		t.Fatalf("the dirty chunk was not patched (rebuilds %d -> %d)", before, after)
+	}
+
+	p, err := compile(laneSchema, AggSpec{Op: AggSum, Col: "amount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.aggregateAt(st.lane(tid), p, AggSum, cursor.TS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Groups[0].Sum; got != 80 {
+		t.Fatalf("pinned SUM = %d, want 80", got)
+	}
+	if res.ChunkRows != 0 || res.RowRows != 8 {
+		t.Fatalf("pinned scan served chunk=%d row=%d, want the whole range (8) from rows", res.ChunkRows, res.RowRows)
+	}
+	sum, fresh := scalar(t, st, tid, AggSpec{Op: AggSum, Col: "amount"})
+	if sum != 90 || fresh.ChunkRows != 7 || fresh.RowRows != 1 {
+		t.Fatalf("fresh SUM = %d (chunk=%d row=%d), want 90 with 7 from vectors", sum, fresh.ChunkRows, fresh.RowRows)
+	}
+}
+
+// TestDictOverflowReseedsPatch overflows a chunk's dictionary during a
+// patch: the copied dictionary still holds every old value, so the pass
+// re-seeds the chunk empty and settles it afresh. Every row ends up in the
+// vectors again, and the aggregate equals the row path's.
+func TestDictOverflowReseedsPatch(t *testing.T) {
+	db := openTest(t, core.Config{})
+	tid, err := db.CreateTable("FACTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t, db)
+	st.maxDict = 4
+	if err := st.EnableTable(tid, laneSchema); err != nil {
+		t.Fatal(err)
+	}
+	rids := make([]ts.RID, 8)
+	for i := range rids {
+		rids[i] = insertRow(t, db, tid, int64(i+1), fmt.Sprintf("old%d", i%4))
+	}
+	db.GC().Collect()
+	if got := st.Migrate(); got != 8 {
+		t.Fatalf("Migrate moved %d rows, want 8", got)
+	}
+	for i, rid := range rids {
+		updateRow(t, db, tid, rid, int64(10*(i+1)), fmt.Sprintf("new%d", i%4))
+	}
+	db.GC().Collect()
+	if got := st.Migrate(); got != 8 {
+		t.Fatalf("Migrate re-settled %d rows, want 8", got)
+	}
+	if ls := st.Stats()[0]; ls.DictOverflows == 0 || ls.DirtyRows != 0 {
+		t.Fatalf("want a dictionary overflow and no dirty rows: %+v", ls)
+	}
+
+	spec := AggSpec{Op: AggSum, Col: "amount", GroupBy: "region"}
+	res, err := st.Aggregate(tid, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChunkRows != 8 || res.RowRows != 0 {
+		t.Fatalf("served chunk=%d row=%d, want all 8 from the re-seeded chunk", res.ChunkRows, res.RowRows)
+	}
+	want := rowPathGroups(t, db, tid, spec)
+	if !reflect.DeepEqual(res.Groups, want) {
+		t.Fatalf("lane groups %+v, row path %+v", res.Groups, want)
+	}
+}
+
+// rowPathGroups computes a grouped aggregate by decoding every row the
+// table shows a fresh snapshot, with no lane involved.
+func rowPathGroups(t *testing.T, db *core.DB, tid ts.TableID, spec AggSpec) []Group {
+	t.Helper()
+	p, err := compile(laneSchema, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Manager().AcquireSnapshot(txn.KindStatement, []ts.TableID{tid})
+	defer snap.Release()
+	maxRID, err := db.TableMaxRID(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[colstore.Value]*Group{}
+	var out []Group
+	for rid := ts.RID(1); rid <= maxRID; rid++ {
+		img, ok := db.ReadAt(tid, rid, snap.TS())
+		if !ok {
+			continue
+		}
+		row, err := colstore.DecodeRow(laneSchema, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, v := row[p.groupIdx], row[p.colIdx].I
+		g := byKey[key]
+		if g == nil {
+			g = &Group{Key: key, Min: v, Max: v}
+			byKey[key] = g
+		}
+		g.Count++
+		g.Sum += v
+		g.Min, g.Max = min(g.Min, v), max(g.Max, v)
+	}
+	for _, g := range byKey {
+		out = append(out, *g)
+	}
+	r := &AggResult{Groups: out}
+	r.sortGroups()
+	return r.Groups
 }

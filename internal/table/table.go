@@ -86,8 +86,8 @@ type Table struct {
 
 	// writeObs, when installed, observes every mutation of the table space —
 	// version-chain flag flips, image installs by garbage collection, record
-	// drops — with the affected RID. The HTAP column lane uses it to keep a
-	// sticky dirty set over chunk-covered rows; it fires under the chain
+	// drops — with the affected RID. The HTAP column lane uses it to set
+	// sticky dirty bits over chunk-covered rows; it fires under the chain
 	// latch, so observers must be cheap and must not re-enter the engine.
 	writeObs atomic.Pointer[func(ts.RID)]
 }

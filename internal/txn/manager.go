@@ -506,16 +506,17 @@ func (m *Manager) commitBatch(real []*commitReq, tcs []*mvcc.TransContext) {
 }
 
 // failBatch rolls back every member of a batch whose logging or publication
-// failed, answers all waiters with err, counts the aborts, and notifies the
-// durability-failure hook so the engine can fail-stop.
+// failed, notifies the durability-failure hook so the engine can fail-stop,
+// counts the aborts, and only then answers all waiters with err: a failed
+// Commit must not return before the engine has entered fail-stop.
 func (m *Manager) failBatch(tcs []*mvcc.TransContext, real []*commitReq, err error) {
 	m.rollbackBatch(tcs)
+	if m.cfg.OnDurabilityFailure != nil {
+		m.cfg.OnDurabilityFailure(err)
+	}
 	m.txnsAborted.Add(int64(len(real)))
 	for _, r := range real {
 		r.done <- commitResult{err: err}
-	}
-	if m.cfg.OnDurabilityFailure != nil {
-		m.cfg.OnDurabilityFailure(err)
 	}
 }
 

@@ -1,10 +1,13 @@
 package txn
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hybridgc/internal/fault"
 	"hybridgc/internal/mvcc"
 	"hybridgc/internal/sts"
 	"hybridgc/internal/ts"
@@ -362,5 +365,33 @@ func TestCloseCommitRace(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("round %d: committers hung after Close", round)
 		}
+	}
+}
+
+// TestDurabilityHookRunsBeforeCommitReturns is the regression test for the
+// fail-stop ordering: the committer used to answer the waiters before it
+// called OnDurabilityFailure, so a failed Commit could return while the
+// engine still accepted writes. A hook that sleeps before recording the
+// incident must have finished by the time Commit returns.
+func TestDurabilityHookRunsBeforeCommitReturns(t *testing.T) {
+	defer fault.Reset()
+	var failed atomic.Bool
+	m := newTestManager(t, Config{
+		SynchronousPropagation: true,
+		OnDurabilityFailure: func(error) {
+			time.Sleep(20 * time.Millisecond)
+			failed.Store(true)
+		},
+	})
+	tx := m.Begin(StmtSI, nil)
+	if err := write(t, m, tx, &nopRecord{}, 1, "lost"); err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(FPPublish, fault.Once())
+	if _, err := tx.Commit(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("commit under publish failure: %v, want injected error", err)
+	}
+	if !failed.Load() {
+		t.Fatal("Commit returned before the durability-failure hook ran")
 	}
 }
